@@ -48,7 +48,7 @@ namespace {
 constexpr uint64_t kReadsPerThread = 256;  // fixed work per reader thread
 constexpr uint64_t kHeavyEvery = 16;       // window walk + copy cadence
 constexpr uint64_t kWarmupCommits = 6;     // fills the published window
-constexpr std::size_t kRingCapacity = 4;   // retention = capacity + 1
+constexpr std::size_t kRetention = 4;      // window width = retention + 1
 constexpr uint64_t kWriterBatchOps = 8;
 constexpr uint64_t kWeightLevels = 64;
 
@@ -100,7 +100,7 @@ void reader_loop(const Txn& txn, ReaderTally& tally) {
         ReadGuard guard(state.epochs_);
         const auto& window = state.window(guard);
         if (window.versions.empty() ||
-            window.versions.size() > kRingCapacity + 1)
+            window.versions.size() > kRetention + 1)
           ++tally.order_failures;
         uint64_t expect_id = window.versions.front()->version;
         for (const auto& ver : window.versions) {
@@ -117,7 +117,7 @@ void reader_loop(const Txn& txn, ReaderTally& tally) {
 /// One engine's sweep over reader counts x writer on/off.
 template <typename Engine, typename Txn>
 void run_engine(const std::string& series, Engine& engine, uint64_t seed) {
-  Txn txn(engine, kRingCapacity);
+  Txn txn(engine, kRetention);
   for (uint64_t i = 0; i < kWarmupCommits; ++i) {
     txn.begin();
     txn.apply(writer_batch(engine.graph(), seed + i));

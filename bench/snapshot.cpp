@@ -13,11 +13,13 @@
 //   * rebuild/undo   — the win: rebuild_ms / (begin_us/1000 + abort_ms);
 //                      checkpoint+abort must beat full recompute on small
 //                      batches (the acceptance criterion),
-//   * commit_us      — extracting the version delta + detaching,
+//   * commit_us      — detaching the journal, the deferred compaction
+//                      check, and publishing the new version,
 //   * read_ms        — committed_solution() *while a speculative batch is
-//                      in flight* (dirty state patched via the journal),
-//   * read@-3_ms     — solution_at(version - 3): a versioned read through
-//                      three reverse deltas of the ring.
+//                      in flight* (a copy of the last published version),
+//   * read@-3_ms     — solution_at(version - 3): a copy of the version
+//                      three commits back in the published window,
+//   * txn_aborts     — the txn.abort obs-counter delta over the row.
 //
 // Abort bit-exactness is asserted outside the timers on every batch
 // (solution compared to the pre-transaction capture). Engines run the
@@ -43,7 +45,7 @@ namespace {
 
 constexpr uint64_t kBatchesPerSize = 5;
 constexpr uint64_t kWeightLevels = 1024;
-constexpr uint64_t kReadBack = 3;  // versioned-read depth (ring keeps 8)
+constexpr uint64_t kReadBack = 3;  // versioned-read depth (window keeps 8)
 
 std::vector<uint64_t> batch_sizes(uint64_t m) {
   std::vector<uint64_t> sizes;
@@ -53,7 +55,7 @@ std::vector<uint64_t> batch_sizes(uint64_t m) {
 }
 
 // Deterministic obs counter read, 0 when the layer is compiled out — the
-// txn_aborts / ring_evictions columns stay present either way.
+// txn_aborts column stays present either way.
 uint64_t obs_counter(const char* name) {
 #if PARGREEDY_OBS
   return obs::counter_value(name);
@@ -82,14 +84,13 @@ void run_engine(const std::string& series, Engine& engine,
   Txn txn(engine);
   Table table({"batch_ops", "begin_us", "apply_ms", "abort_ms", "rebuild_ms",
                "rebuild/undo", "commit_us", "read_ms", "read@-3_ms",
-               "txn_aborts", "ring_evictions"});
+               "txn_aborts"});
   for (uint64_t ops : batch_sizes(engine.num_edges())) {
     double begin_s = 0, apply_s = 0, abort_s = 0, commit_s = 0;
     double inflight_read_s = 0, versioned_read_s = 0;
-    // Deterministic obs deltas for this row (driver-thread counters — the
-    // same at any worker count, so the compare gate can pin them).
+    // Deterministic obs delta for this row (a driver-thread counter — the
+    // same at any worker count, so the compare gate can pin it).
     const uint64_t aborts_before = obs_counter(obs::kTxnAbort);
-    const uint64_t evictions_before = obs_counter(obs::kRingEviction);
     for (uint64_t b = 0; b < kBatchesPerSize; ++b) {
       const uint64_t salt = seed + 41 * ops + b;
       const auto before = engine.solution();
@@ -141,10 +142,8 @@ void run_engine(const std::string& series, Engine& engine,
          fmt_double(commit_s / kBatchesPerSize * 1e6, 3),
          fmt_double(inflight_read_s / kBatchesPerSize * 1e3, 4),
          fmt_double(versioned_read_s / kBatchesPerSize * 1e3, 4),
-         fmt_count(
-             static_cast<int64_t>(obs_counter(obs::kTxnAbort) - aborts_before)),
-         fmt_count(static_cast<int64_t>(obs_counter(obs::kRingEviction) -
-                                        evictions_before))});
+         fmt_count(static_cast<int64_t>(obs_counter(obs::kTxnAbort) -
+                                        aborts_before))});
   }
   bench::emit("snapshot", series, table);
 }

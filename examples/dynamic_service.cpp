@@ -32,7 +32,7 @@
 //             reference engine fed identical traffic.
 //   stats     serves a shorter mixed loop (commits + aborted speculation)
 //             with a periodic structured stats dump — the obs registry's
-//             JSON, engine.* /repro.* /txn.* /ring.* counters and
+//             JSON, engine.* /repro.* /txn.* /reader.* counters and
 //             histograms — then a final human-readable catalog.
 //
 // `--trace-out <file>` (any command) activates the scoped-span tracer and

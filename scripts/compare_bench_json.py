@@ -11,8 +11,7 @@ Relative deltas beyond --threshold are flagged; whether a delta is a
 
   * higher-is-worse columns (--worse, default: times in ms/us, rounds,
     recomputed/seeds/retries/changed counters, and the snapshot bench's
-    txn_aborts/ring_evictions obs-counter deltas) regress when they
-    increase;
+    txn_aborts obs-counter delta) regress when they increase;
   * higher-is-better columns (--better, default: the `full/...`,
     `churn/...`, `rebuild/...` win ratios) regress when they decrease;
   * columns matching neither regex are reported when they move, but
@@ -42,8 +41,7 @@ import sys
 from pathlib import Path
 
 DEFAULT_WORSE = (
-    r"(_ms$|_us$|rounds|recomputed|seeds|retries|changed|txn_aborts"
-    r"|ring_evictions)")
+    r"(_ms$|_us$|rounds|recomputed|seeds|retries|changed|txn_aborts)")
 DEFAULT_BETTER = r"^(full|churn|rebuild)/"
 
 

@@ -1,5 +1,6 @@
 #include "dynamic/dynamic_mis.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -115,6 +116,9 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
     ++stats.deactivated;
     seeds.push_back(v);
   }
+  // Sorted, for the vertex-reweight loop's lookups below.
+  std::vector<VertexId> deactivated(seeds);
+  std::sort(deactivated.begin(), deactivated.end());
   for (const Edge& e : batch.deletes()) {
     if (graph_.erase_edge(e.u, e.v) == kInvalidSlot) continue;
     ++stats.deleted;
@@ -165,7 +169,17 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
     vpri_[v] = k.primary;
     if (!vpri2_.empty()) vpri2_[v] = k.secondary;
     order_stale_ = true;
-    if (!active_[v]) continue;  // an inactive rank influences nobody
+    if (!active_[v]) {
+      // An inactive rank influences nobody afterwards, but a vertex this
+      // batch deactivated still has neighbours it blocked under its old
+      // key. Its deactivation seed expands successors under the new key
+      // only, so those neighbours are seeded here.
+      if (std::binary_search(deactivated.begin(), deactivated.end(), v))
+        graph_.for_incident(v, [&](VertexId x, EdgeSlot) {
+          if (active_[x]) seeds.push_back(x);
+        });
+      continue;
+    }
     // v's own decision and — through the flipped earlier(v, ·) relations —
     // every active neighbor's decision may change directly; everything
     // further is discovered by the rounds.

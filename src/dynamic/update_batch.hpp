@@ -30,7 +30,9 @@
 // the endpoint activates. Vertex reweights always apply (the vertex
 // universe is fixed), including to deactivated vertices — but an inactive
 // vertex's priority cannot influence any decision, so such a reweight
-// never seeds repropagation.
+// seeds no repropagation of its own. (When the same batch deactivates
+// the vertex, the neighbours it blocked under its old priority are
+// re-examined.)
 //
 // All edge endpoints are canonicalized (u < v) on entry; self loops are
 // rejected. Operations that are no-ops against the current state (deleting

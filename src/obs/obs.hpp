@@ -195,11 +195,6 @@ inline constexpr char kTxnCommit[] = "txn.commit";
 inline constexpr char kTxnAbort[] = "txn.abort";
 inline constexpr char kTxnAbortExplicit[] = "txn.abort.explicit";
 inline constexpr char kTxnAbortDestructor[] = "txn.abort.destructor";
-// VersionRing reads:
-inline constexpr char kRingPush[] = "ring.push";
-inline constexpr char kRingEviction[] = "ring.eviction";
-inline constexpr char kRingReadHit[] = "ring.read_hit";
-inline constexpr char kRingReadMiss[] = "ring.read_miss";
 // Sharded engine boundary exchange (shard/sharded_engine.hpp):
 inline constexpr char kShardBoundarySeeds[] = "shard.boundary_seeds";
 inline constexpr char kShardConflictRetries[] = "shard.conflict_retries";

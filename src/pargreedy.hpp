@@ -62,4 +62,3 @@
 #include "txn/published_state.hpp"
 #include "txn/read_view.hpp"
 #include "txn/transaction.hpp"
-#include "txn/version_ring.hpp"

@@ -54,7 +54,7 @@
 //           ShardedVersion clock unified.
 //
 // Determinism: shards are driven sequentially in index order (each
-// apply runs under ScopedNumWorkers(workers_per_shard)), every forcing
+// apply runs at the worker width captured at construction), every forcing
 // batch is a deterministic function of deterministic state, and the
 // engines themselves are deterministic in their inputs — so solutions,
 // exchange rounds, boundary seeds, and conflict retries are all
@@ -181,17 +181,6 @@ class ShardedEngine {
   /// single-writer, like the engines they drive.
   support::Role writer_role_;
 
-  /// Knobs beyond (graph, partitioner, source).
-  struct Options {
-    /// Worker width each shard's applies run under (<= 0: keep the
-    /// process-wide num_workers()).
-    int workers_per_shard = 0;
-    /// Per-shard overlay compaction threshold (EngineOptions semantics).
-    double compaction_threshold = 0.5;
-    /// Per-shard Transaction version retention.
-    std::size_t ring_capacity = kDefaultVersionRetention;
-  };
-
   /// Deterministic exchange counters, per call and lifetime.
   struct ExchangeStats {
     uint64_t rounds = 0;            ///< exchange rounds run
@@ -218,13 +207,12 @@ class ShardedEngine {
   /// of (vertex, weights), so every shard derives the identical total
   /// priority order — runs the construction exchange to fixpoint, and
   /// adopts the composed state as committed version 0 on every shard.
+  /// Shards run at the num_workers() width current at construction.
   ShardedEngine(CsrGraph base, const Partitioner& partitioner,
-                PrioritySource source, Options options = {})
+                PrioritySource source)
       : shards_(partitioner.num_shards()),
         partitioner_name_(partitioner.name()),
-        workers_per_shard_(options.workers_per_shard > 0
-                               ? options.workers_per_shard
-                               : num_workers()),
+        workers_per_shard_(num_workers()),
         owner_(std::make_shared<const std::vector<uint32_t>>(
             partitioner.labels(base.num_vertices()))) {
     const uint64_t n = base.num_vertices();
@@ -232,8 +220,7 @@ class ShardedEngine {
     ghosts_.resize(shards_);
     for (uint32_t s = 0; s < shards_; ++s) {
       engines_.push_back(std::make_unique<Engine>(
-          EngineOptions::with_source(shard_subgraph(base, s), source)
-              .compaction(options.compaction_threshold)));
+          EngineOptions::with_source(shard_subgraph(base, s), source)));
       support::RoleScope writer(engines_[s]->writer_role_);
       engines_[s]->enable_frontier_tracking(*owner_);
     }
@@ -248,8 +235,7 @@ class ShardedEngine {
     // is already the correct composed solution.
     construction_stats_ = run_exchange(nullptr);
     for (uint32_t s = 0; s < shards_; ++s)
-      txns_.push_back(std::make_unique<Transaction<Traits>>(
-          *engines_[s], options.ring_capacity));
+      txns_.push_back(std::make_unique<Transaction<Traits>>(*engines_[s]));
   }
 
   ShardedEngine(const ShardedEngine&) = delete;

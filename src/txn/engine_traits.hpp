@@ -1,36 +1,19 @@
 // Engine traits for the transaction layer: the few engine-specific
-// operations Transaction<Traits> needs beyond the shared txn_* seams.
+// facts Transaction<Traits> needs beyond the shared txn_* seams — the
+// engine type, its solution entry type, and how to copy the solution
+// out for publication.
 //
-// Each trait binds an engine type to its solution representation and
-// knows how to extract a *reverse solution delta* from the engine's undo
-// journal: the solution entries that changed since a journal watermark,
-// valued as they were at that watermark. Commits push these deltas into
-// the VersionRing; in-flight reads use them to reconstruct the last
-// committed solution without blocking on (or aborting) the transaction.
-//
-//   MisTxnTraits       solution is the in_set bitmap; every membership
-//                      mutation is a journaled decision flip keyed by
-//                      vertex, so the delta is the first-logged old value
-//                      per flipped vertex.
-//   MatchingTxnTraits  solution is the matched_with partner array, but
-//                      the journal logs per-slot matching bits; the delta
-//                      derives each touched vertex's previous partner
-//                      from the first-logged old bit per flipped slot
-//                      (a vertex's partner can only change through a flip
-//                      of an incident slot, and its pre-transaction
-//                      matched slot — if any — must itself have flipped,
-//                      so the journal always contains the evidence).
+//   MisTxnTraits       solution is the in_set bitmap (uint8_t per vertex).
+//   MatchingTxnTraits  solution is the matched_with partner array
+//                      (VertexId per vertex, kInvalidVertex if unmatched).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dynamic/dynamic_matching.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/engine_api.hpp"
-#include "dynamic/undo_log.hpp"
 #include "graph/types.hpp"
 
 namespace pargreedy {
@@ -56,11 +39,6 @@ struct MisTxnTraits {
   static std::vector<Value> solution(const Engine& engine) {
     return engine.solution();
   }
-
-  /// Solution entries changed since `mark`, with their values at `mark`
-  /// (empty when the journal span changed nothing observable).
-  static std::vector<std::pair<uint64_t, Value>> reverse_delta(
-      const Engine& engine, const EngineJournal& journal, std::size_t mark);
 };
 
 /// Transaction-layer binding for DynamicMatching (see file comment).
@@ -74,9 +52,6 @@ struct MatchingTxnTraits {
   static std::vector<Value> solution(const Engine& engine) {
     return engine.solution();
   }
-
-  static std::vector<std::pair<uint64_t, Value>> reverse_delta(
-      const Engine& engine, const EngineJournal& journal, std::size_t mark);
 };
 
 }  // namespace pargreedy

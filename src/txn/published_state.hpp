@@ -1,17 +1,16 @@
 // The lock-free committed-read path: immutable published solution
 // versions behind one atomic pointer, reclaimed via epochs.
 //
-// The transactional writer keeps two representations of committed
-// history. The VersionRing stores compact reverse *deltas* — the
-// writer-side source of truth, cheap to push, but reconstruction walks
-// writer state and so lives under the single-writer contract. This file
-// adds the reader-side representation: at every commit the writer
-// materializes the full solution as an immutable PublishedVersion,
-// assembles the retained window [oldest, latest] into an immutable
-// Table, and swaps it in with one atomic exchange. Readers follow the
-// pointer under an epoch pin (txn/epoch.hpp) — no mutex, no wait on
-// in-flight speculation, no interaction with the writer beyond delaying
-// reclamation of superseded tables.
+// This is the transactional writer's one representation of committed
+// history. At every commit the writer materializes the full solution as
+// an immutable PublishedVersion, assembles the retained window
+// [oldest, latest] into an immutable Table, and swaps it in with one
+// atomic exchange. Readers follow the pointer under an epoch pin
+// (txn/epoch.hpp) — no mutex, no wait on in-flight speculation, no
+// interaction with the writer beyond delaying reclamation of superseded
+// tables. The window holds `retention` full versions (each an O(n)
+// solution copy); versions shared by consecutive tables are shared_ptr
+// aliases, not copies.
 //
 //   writer, per commit:  build version -> build table -> exchange
 //                        pointer -> advance epoch -> free tables whose
@@ -22,8 +21,8 @@
 // Staleness bound: a reader sees exactly the window some recent
 // exchange published — every value it can observe equals some committed
 // version in [oldest_version(), latest_version()], never speculative or
-// aborted state. The property tests check this bit-exactly against
-// VersionRing reconstruction.
+// aborted state. The property tests check this bit-exactly against the
+// writer's own replayed history.
 //
 // Torn-read detection: each PublishedVersion carries a checksum (mix64
 // fold over the version id and solution entries, random/hash.hpp)
@@ -64,7 +63,7 @@ inline constexpr uint64_t kLatestVersion = ~uint64_t{0};
 /// sound, and the checksum is what makes violations detectable.
 template <typename Value>
 struct PublishedVersion {
-  uint64_t version;         ///< committed version id (ring numbering)
+  uint64_t version;         ///< committed version id (0 = baseline)
   uint64_t engine_epoch;    ///< engine mutation-epoch stamp at publish
   uint64_t published_epoch; ///< EpochManager epoch when published
   std::vector<Value> solution;
@@ -110,9 +109,9 @@ class PublishedState {
   /// expression at acquire and require sites.
   EpochManager epochs_;
 
-  /// Retains up to `retention` full versions (the Transaction passes
-  /// ring capacity + 1 so the published window and the ring's
-  /// reconstructible window are the same [oldest, latest]).
+  /// Retains up to `retention` full versions (a Transaction passes its
+  /// read-back depth + 1: the newest version plus the ones reads can
+  /// reach back to).
   explicit PublishedState(std::size_t retention) : retention_(retention) {
     PG_CHECK_MSG(retention >= 1, "published retention must be >= 1");
   }
@@ -194,6 +193,16 @@ class PublishedState {
     return freed;
   }
 
+  /// Newest published version id, read without an epoch pin: only the
+  /// writer swaps and frees tables, so the current one cannot go away
+  /// under it. Checked: a baseline was published.
+  [[nodiscard]] uint64_t writer_latest_version() const
+      PARGREEDY_REQUIRES(writer_role_) {
+    const Table* t = table_.load(std::memory_order_relaxed);
+    PG_CHECK_MSG(t != nullptr, "nothing published yet");
+    return t->versions.back()->version;
+  }
+
   /// Retired-but-not-yet-freed tables (tests/introspection; writer-only
   /// because the list is writer state).
   [[nodiscard]] std::size_t retired_count() const
@@ -205,9 +214,9 @@ class PublishedState {
   //
   // The zero-copy accessors require an epoch pin (the shared reader
   // capability) — the guard is what keeps the returned references
-  // alive. The *_copy conveniences pin internally and return by value;
-  // they are the calls the Transaction read API forwards to and are
-  // callable from any thread with no capability at all.
+  // alive. acquire() and the version-id queries pin internally; they
+  // are the calls the Transaction read API forwards to and are callable
+  // from any thread with no capability at all.
 
   /// The retained window under `guard`. References into it are valid
   /// for the guard's lifetime.
@@ -257,19 +266,6 @@ class PublishedState {
                             << oldest << ", " << latest << "]");
     PG_OBS_HIST(obs::kReaderStaleDistance, latest - v);
     return t.versions[v - oldest];
-  }
-
-  /// Copy of the newest committed solution (pins internally).
-  [[nodiscard]] std::vector<Value> latest_solution_copy() const {
-    ReadGuard guard(epochs_);
-    return latest(guard).solution;
-  }
-
-  /// Copy of the solution at version `v` (pins internally). Checked: `v`
-  /// within retention.
-  [[nodiscard]] std::vector<Value> solution_at_copy(uint64_t v) const {
-    ReadGuard guard(epochs_);
-    return at(v, guard).solution;
   }
 
   /// Newest published version id (pins internally).

@@ -24,10 +24,8 @@
 //   rollback_to()  checkpoint inside the transaction; rollback_to replays
 //                  the undo logs down to it (strictly LIFO: rolling back
 //                  to an earlier savepoint invalidates later ones).
-//   commit()       extracts the solution delta from the journal into the
-//                  version ring, drops the journal, runs the deferred
-//                  compaction check. The new state becomes version
-//                  version()+1.
+//   commit()       drops the journal, runs the deferred compaction check
+//                  and publishes the new state as version version()+1.
 //   abort()        replays the undo logs back to begin(): overlay,
 //                  solution, cached priority keys, activity, and lifetime
 //                  stats are restored bit-exactly (the differential suite
@@ -46,15 +44,14 @@
 // and versions older than oldest_version() have been evicted (reads
 // throw CheckFailure). docs/CONCURRENCY.md is the prose contract.
 //
-// The VersionRing stays the writer-side source of truth (compact
-// reverse deltas, push per commit); the published window is the
-// reader-side materialization of the same [oldest, latest] range, and
-// the property tests hold them bit-exactly equal.
+// The published window is the only committed history: version ids come
+// from it, and it retains the newest `retention` + 1 versions (reads
+// reach back `retention` commits).
 //
 // Staleness guard: the wrapper records the engine's epoch stamp after
 // every commit/abort. Mutating the engine directly (bypassing the
-// wrapper) between transactions changes the epoch without a version
-// push — begin() checks and throws CheckFailure. The read APIs do NOT
+// wrapper) between transactions changes the epoch without a commit —
+// begin() checks and throws CheckFailure. The read APIs do NOT
 // check: they serve the last *published* state regardless of what the
 // engine has been put through (stale-bounded by design, and immune to
 // writer races). While a transaction is open, direct engine mutations
@@ -71,12 +68,11 @@
 // the wrapper owns a public `writer_role_` capability required by every
 // mutating call (begin/apply/rollback_to/commit/abort), and each body
 // acquires the wrapped engine's writer role — and, in commit(), the
-// version ring's and published state's — for its scope, so the analysis
-// verifies the whole writer path down through the engine and overlay
-// layers. The reader path needs no capability at all (the epoch pin
-// acquires the published state's shared reader role internally), which
-// is the machine-checked statement that reads never take the writer
-// role or any lock.
+// published state's — for its scope, so the analysis verifies the whole
+// writer path down through the engine and overlay layers. The reader path
+// needs no capability at all (the epoch pin acquires the published
+// state's shared reader role internally), which is the machine-checked
+// statement that reads never take the writer role or any lock.
 #pragma once
 
 #include <cstddef>
@@ -94,7 +90,6 @@
 #include "txn/engine_traits.hpp"
 #include "txn/published_state.hpp"
 #include "txn/read_view.hpp"
-#include "txn/version_ring.hpp"
 
 namespace pargreedy {
 
@@ -117,16 +112,14 @@ class Transaction {
 
   /// Wraps `engine`, adopting its current state as version 0 (published
   /// immediately, so readers have a baseline before the first commit).
-  /// The engine must outlive the wrapper; route all mutations through it
-  /// from here on (the epoch guard catches violations).
+  /// Versioned reads reach back `retention` commits, so the published
+  /// window holds `retention` + 1 versions. The engine must outlive the
+  /// wrapper; route all mutations through it from here on (the epoch
+  /// guard catches violations).
   explicit Transaction(Engine& engine,
-                       std::size_t ring_capacity = kDefaultVersionRetention)
+                       std::size_t retention = kDefaultVersionRetention)
       : engine_(engine),
-        ring_(ring_capacity),
-        // One more than the ring's delta count: a ring holding k deltas
-        // reconstructs k+1 versions, and the published window retains
-        // exactly that [oldest, latest] range.
-        published_(ring_capacity + 1),
+        published_(retention + 1),
         expected_epoch_(engine.epoch()) {
     support::RoleScope published_writer(published_.writer_role_);
     published_.publish(0, engine.epoch(), Traits::solution(engine));
@@ -249,9 +242,9 @@ class Transaction {
     txn_stats_ = snapshot.txn_stats;
   }
 
-  /// Makes the speculative state durable as version version()+1 (pushes
-  /// the reverse solution delta into the ring, drops the journal, runs
-  /// the deferred compaction check) and returns the new version.
+  /// Makes the speculative state durable as version version()+1 (drops
+  /// the journal, runs the deferred compaction check, publishes) and
+  /// returns the new version.
   uint64_t commit() PARGREEDY_REQUIRES(writer_role_) {
     PG_CHECK_MSG(active_, "commit() outside a transaction");
     PG_OBS_COUNT(obs::kTxnCommit, 1);
@@ -261,9 +254,6 @@ class Transaction {
     PG_OBS_SPAN1(span_commit, "txn.commit", "txn", "journal_records",
                  journal_.engine.size() - base_.engine_records);
     support::RoleScope engine_writer(engine_.writer_role_);
-    support::RoleScope ring_writer(ring_.writer_role_);
-    ring_.push(
-        Traits::reverse_delta(engine_, journal_.engine, base_.engine_records));
     journal_.engine.truncate(base_.engine_records);
     journal_.overlay.truncate(base_.overlay_records);
     engine_.txn_detach();
@@ -274,14 +264,14 @@ class Transaction {
     // the new version (the compaction above does not change solution
     // values, only overlay layout, so publishing after it is exact).
     support::RoleScope published_writer(published_.writer_role_);
-    published_.publish(ring_.latest(), engine_.epoch(),
-                       Traits::solution(engine_));
-    return ring_.latest();
+    const uint64_t version = published_.writer_latest_version() + 1;
+    published_.publish(version, engine_.epoch(), Traits::solution(engine_));
+    return version;
   }
 
   /// Discards the transaction: replays the undo logs back to begin().
   /// Overlay, solution, cached keys, activity and lifetime stats are
-  /// restored bit-exactly; the version ring is untouched.
+  /// restored bit-exactly; the published window is untouched.
   void abort() PARGREEDY_REQUIRES(writer_role_) {
     abort_impl(AbortCause::kExplicit);
   }
@@ -314,13 +304,6 @@ class Transaction {
   /// metadata (see txn/published_state.hpp).
   [[nodiscard]] const PublishedState<Value>& published_state() const {
     return published_;
-  }
-
-  /// The version ring (writer-side reverse-delta history). Writer-only:
-  /// its read surface walks writer state, unlike the published window.
-  [[nodiscard]] const VersionRing<Value>& ring() const
-      PARGREEDY_REQUIRES(writer_role_) {
-    return ring_;
   }
 
  private:
@@ -366,8 +349,7 @@ class Transaction {
 
   Engine& engine_;
   TxnJournal journal_;
-  VersionRing<Value> ring_;
-  PublishedState<Value> published_;  // the lock-free reader window
+  PublishedState<Value> published_;  // committed history; lock-free reads
   uint64_t expected_epoch_;  // engine epoch after the last commit/abort
   uint64_t txn_id_ = 0;      // guards savepoints across transactions
   bool active_ = false;

@@ -172,10 +172,11 @@ TEST(PublishedStateTest, RetentionEvictsOldestAndBoundsReads) {
   for (uint64_t v = 0; v <= 5; ++v)
     state.publish(v, v, bits({static_cast<int>(v & 1)}));
   EXPECT_EQ(state.latest_version(), 5u);
+  EXPECT_EQ(state.writer_latest_version(), 5u);  // same id, no pin
   EXPECT_EQ(state.oldest_version(), 3u);
-  EXPECT_EQ(state.solution_at_copy(3), bits({1}));
-  EXPECT_THROW((void)state.solution_at_copy(2), CheckFailure);  // evicted
-  EXPECT_THROW((void)state.solution_at_copy(6), CheckFailure);  // future
+  EXPECT_EQ(state.acquire(3)->solution, bits({1}));
+  EXPECT_THROW((void)state.acquire(2), CheckFailure);  // evicted
+  EXPECT_THROW((void)state.acquire(6), CheckFailure);  // future
 }
 
 TEST(PublishedStateTest, NonConsecutiveVersionIsRejected) {
@@ -245,8 +246,8 @@ TEST(PublishedStateTest, CopyAccessorsPinInternally) {
     state.publish(1, 1, bits({1, 1}));
   }
   // No explicit guard anywhere — the accessors pin for their own scope.
-  EXPECT_EQ(state.latest_solution_copy(), bits({1, 1}));
-  EXPECT_EQ(state.solution_at_copy(0), bits({0, 1}));
+  EXPECT_EQ(state.acquire()->solution, bits({1, 1}));
+  EXPECT_EQ(state.acquire(0)->solution, bits({0, 1}));
   EXPECT_EQ(state.latest_version(), 1u);
   EXPECT_EQ(state.oldest_version(), 0u);
   EXPECT_EQ(state.epochs_.active_pins(), 0u);  // nothing leaked

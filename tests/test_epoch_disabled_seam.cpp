@@ -50,7 +50,7 @@ int main() {
 
   bool threw = false;
   try {
-    (void)state.solution_at_copy(1);  // evicted
+    (void)state.acquire(1);  // evicted
   } catch (const pargreedy::CheckFailure&) {
     threw = true;
   }

@@ -147,6 +147,31 @@ TEST_P(ReweightPolicy, MisVertexReweightsStayExact) {
   }
 }
 
+TEST_P(ReweightPolicy, MisDeactivateAndReweightInOneBatchStaysExact) {
+  // Each batch deactivates vertices and reweights the same vertices,
+  // mostly downwards, and re-activates the previous batch's. A vertex
+  // that loses priority while it leaves no longer reaches, under its new
+  // key, the neighbours it blocked under the old one; they must still be
+  // re-examined.
+  const PrioritySource src = vertex_source();
+  DynamicMis dm(EngineOptions::with_source(
+      weighted_graph(45, /*levels=*/3), src));
+  std::vector<VertexId> previous;
+  for (uint64_t round = 0; round < 6; ++round) {
+    UpdateBatch batch;
+    for (const VertexId v : previous) batch.activate(v);
+    previous.clear();
+    for (uint64_t i = 0; i < 12; ++i) {
+      const auto v = static_cast<VertexId>(hash_range(70 + round, i, kN));
+      batch.deactivate(v).reweight_vertex(
+          v, 0.5 + static_cast<Weight>(hash_range(71 + round, i, 3)));
+      previous.push_back(v);
+    }
+    dm.apply_batch(batch);
+    expect_mis_exact(dm, src);
+  }
+}
+
 TEST_P(ReweightPolicy, MatchingEdgeReweightEqualsDeleteReinsert) {
   const PrioritySource src = edge_source();
   const CsrGraph g = weighted_graph(43, /*levels=*/3);

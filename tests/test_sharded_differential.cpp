@@ -13,7 +13,7 @@
 //                         single-engine committed solution bit-exactly
 //                         (composed reads, live reads, and the
 //                         checksummed ShardedReadView all agree), and
-//   history equivalence   every version the single engine's VersionRing
+//   history equivalence   every version the single engine's Transaction
 //                         still retains is reproduced bit-exactly by
 //                         the sharded composed read at that version,
 //                         with the lockstep clock unified throughout.
@@ -113,8 +113,8 @@ void run_instance(const ShardedDifferential& fix, const CsrGraph& g,
     part = std::make_unique<HashPartitioner>(shards, fix.seed() + 7);
   ShardedEngine<Traits> sharded(g, *part, src);
 
-  // version -> committed single-engine solution, as deep as the ring
-  // retains (kDefaultVersionRetention on both sides).
+  // version -> committed single-engine solution, as deep as the
+  // published window retains (kDefaultVersionRetention on both sides).
   std::deque<std::vector<typename Traits::Value>> history{
       txn.solution_at(0)};
 

@@ -1,6 +1,7 @@
 // Unit tests for the transactional layer (src/txn/): snapshot/rollback
-// bit-exactness, commit equivalence, nested savepoints, the version ring,
-// the epoch staleness guard, and the overlay undo journal itself.
+// bit-exactness, commit equivalence, nested savepoints, the retained
+// version window, the epoch staleness guard, and the overlay undo journal
+// itself.
 //
 // The heavy randomized coverage lives in test_txn_differential.cpp; this
 // suite pins down the API contract and the corner cases one at a time.
@@ -21,11 +22,9 @@
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/check.hpp"
-#include "support/thread_annotations.hpp"
 #include "txn/epoch.hpp"
 #include "txn/published_state.hpp"
 #include "txn/transaction.hpp"
-#include "txn/version_ring.hpp"
 
 namespace pargreedy {
 namespace {
@@ -281,10 +280,10 @@ TEST(TxnMis, OverlayOnlySavepointInvalidationIsRejected) {
                                 g.edge_weights().end()));
 }
 
-TEST(TxnMis, VersionRingReconstructsRecentCommits) {
+TEST(TxnMis, RetainedWindowServesRecentCommits) {
   DynamicMis dm(EngineOptions::with_source(
       weighted_graph(200, 800, 11), PrioritySource::weight_hash_tiebreak(15)));
-  MisTransaction txn(dm, /*ring_capacity=*/4);
+  MisTransaction txn(dm, /*retention=*/4);
 
   std::vector<std::vector<uint8_t>> history{dm.solution()};  // version 0
   for (uint64_t round = 0; round < 7; ++round) {
@@ -344,11 +343,13 @@ TEST(TxnMis, EpochGuardRejectsExternalMutation) {
 TEST(TxnMis, SolutionAtRetentionBoundaries) {
   DynamicMis dm(EngineOptions::with_source(
       weighted_graph(200, 800, 21), PrioritySource::weight_hash_tiebreak(22)));
-  MisTransaction txn(dm, /*ring_capacity=*/4);
+  MisTransaction txn(dm, /*retention=*/4);
+  std::vector<std::vector<uint8_t>> history{dm.solution()};  // version 0
   for (uint64_t round = 0; round < 7; ++round) {
     txn.begin();
     txn.apply(mixed_batch(dm.graph(), 12, 540 + round));
     txn.commit();
+    history.push_back(dm.solution());
   }
   ASSERT_EQ(txn.version(), 7u);
   ASSERT_EQ(txn.oldest_version(), 3u);
@@ -360,36 +361,32 @@ TEST(TxnMis, SolutionAtRetentionBoundaries) {
   EXPECT_NO_THROW((void)txn.solution_at(txn.version()));
   EXPECT_THROW((void)txn.solution_at(txn.version() + 1), CheckFailure);
   // And the oldest boundary is exact, not just non-throwing: it equals
-  // the ring's reverse-delta reconstruction (writer-side oracle).
-  std::vector<uint8_t> oracle = txn.committed_solution();
-  {
-    support::RoleScope writer(txn.writer_role_);
-    txn.ring().reconstruct(oracle, txn.oldest_version());
-  }
-  EXPECT_EQ(txn.solution_at(txn.oldest_version()), oracle);
+  // the solution the engine held right after that commit.
+  EXPECT_EQ(txn.solution_at(txn.oldest_version()),
+            history[txn.oldest_version()]);
 }
 
 TEST(TxnMis, PublishedWindowMatchesRingBitExactly) {
   DynamicMis dm(EngineOptions::with_source(
       weighted_graph(200, 800, 23), PrioritySource::weight_hash_tiebreak(24)));
-  MisTransaction txn(dm, /*ring_capacity=*/3);
+  MisTransaction txn(dm, /*retention=*/3);
+  std::vector<std::vector<uint8_t>> history{dm.solution()};  // version 0
   for (uint64_t round = 0; round < 6; ++round) {
     txn.begin();
     txn.apply(mixed_batch(dm.graph(), 10, 560 + round));
     txn.commit();
+    history.push_back(dm.solution());
   }
   const auto& state = txn.published_state();
   ReadGuard guard(state.epochs_);
   const auto& window = state.window(guard);
-  EXPECT_EQ(window.versions.size(), 4u);  // ring capacity + 1
+  ASSERT_EQ(window.versions.size(), 4u);  // retention + 1
+  uint64_t expect_id = 3;                 // versions 3..6
   for (const auto& ver : window.versions) {
+    EXPECT_EQ(ver->version, expect_id++);
     EXPECT_TRUE(ver->verify_checksum()) << "version " << ver->version;
-    std::vector<uint8_t> oracle = txn.committed_solution();
-    {
-      support::RoleScope writer(txn.writer_role_);
-      txn.ring().reconstruct(oracle, ver->version);
-    }
-    EXPECT_EQ(ver->solution, oracle) << "version " << ver->version;
+    EXPECT_EQ(ver->solution, history[ver->version])
+        << "version " << ver->version;
   }
 }
 
@@ -523,10 +520,10 @@ TEST(TxnMatching, NestedSavepointsUnwindLifo) {
   expect_state_eq(capture(dm), before);
 }
 
-TEST(TxnMatching, VersionRingAndInflightReads) {
+TEST(TxnMatching, RetainedVersionsAndInflightReads) {
   DynamicMatching dm(EngineOptions::with_source(
       weighted_graph(200, 800, 23), PrioritySource::weight_hash_tiebreak(33)));
-  MatchingTransaction txn(dm, /*ring_capacity=*/4);
+  MatchingTransaction txn(dm, /*retention=*/4);
 
   std::vector<std::vector<VertexId>> history{dm.solution()};
   for (uint64_t round = 0; round < 6; ++round) {
@@ -617,32 +614,6 @@ TEST(OverlayJournal, UnweightedUpgradeIsUndone) {
   EXPECT_FALSE(overlay.has_edge_weights());
   EXPECT_FALSE(overlay.has_edge(1, 2));
   overlay.set_journal(nullptr);
-}
-
-// --- the version ring on its own ------------------------------------
-
-TEST(VersionRingTest, ReconstructWalksReverseDeltas) {
-  VersionRing<uint8_t> ring(2);
-  // v0 = {0,0,0}; v1 flips index 1; v2 flips indexes 0 and 1.
-  ring.push({{1, 0}});          // v1's delta: index 1 was 0 at v0
-  ring.push({{0, 0}, {1, 1}});  // v2's delta: values at v1
-  EXPECT_EQ(ring.latest(), 2u);
-  EXPECT_EQ(ring.oldest(), 0u);
-
-  std::vector<uint8_t> sol{1, 0, 0};  // the solution at v2
-  std::vector<uint8_t> at_v1 = sol;
-  ring.reconstruct(at_v1, 1);
-  EXPECT_EQ(at_v1, (std::vector<uint8_t>{0, 1, 0}));
-  std::vector<uint8_t> at_v0 = sol;
-  ring.reconstruct(at_v0, 0);
-  EXPECT_EQ(at_v0, (std::vector<uint8_t>{0, 0, 0}));
-
-  ring.push({});  // v3 changed nothing; evicts v1's delta
-  EXPECT_EQ(ring.oldest(), 1u);
-  EXPECT_FALSE(ring.contains(0));
-  std::vector<uint8_t> stale = sol;
-  EXPECT_THROW(ring.reconstruct(stale, 0), CheckFailure);
-  EXPECT_THROW(VersionRing<uint8_t>(0), CheckFailure);
 }
 
 }  // namespace

@@ -221,10 +221,11 @@ void run_rounds(const Fixture& fix, Engine& engine, Engine& twin) {
   struct Joiner {
     std::atomic<bool>& stop;
     std::thread& reader;
-    ~Joiner() {
+    void join() {
       stop.store(true, std::memory_order_release);
-      reader.join();
+      if (reader.joinable()) reader.join();
     }
+    ~Joiner() { join(); }
   } joiner{stop, reader};
 
   const uint64_t n = engine.num_vertices();
@@ -283,7 +284,11 @@ void run_rounds(const Fixture& fix, Engine& engine, Engine& twin) {
     if (round % 5 == 4) oracle_audit(engine);
   }
 
-  stop.store(true, std::memory_order_release);
+  // The rounds can finish before the reader thread has run at all; hold
+  // it open until it has completed one validated pass (it never blocks,
+  // so this terminates), then join so the tallies below are final.
+  while (observations.load() == 0) std::this_thread::yield();
+  joiner.join();
   ASSERT_EQ(torn_reads.load(), 0u)
       << "background reader saw torn published state (seed " << fix.seed()
       << ")";

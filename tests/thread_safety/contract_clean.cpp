@@ -3,7 +3,7 @@
 // Compiled with `clang -fsyntax-only -Wthread-safety -Werror=thread-safety`
 // by the thread_safety_contract_clean ctest (Clang configures only). The
 // explicit template instantiations at the bottom force the analysis through
-// every member of Transaction and VersionRing; the writer functions model
+// every member of Transaction and PublishedState; the writer functions model
 // the protocol's one writer thread holding each object's role capability.
 // If an annotation rots — a mutator loses its REQUIRES, a body stops
 // acquiring a role it needs — this TU stops being warning-clean and the
@@ -19,7 +19,6 @@
 #include "txn/epoch.hpp"
 #include "txn/published_state.hpp"
 #include "txn/transaction.hpp"
-#include "txn/version_ring.hpp"
 
 namespace pargreedy {
 
@@ -57,7 +56,8 @@ void overlay_writer(OverlayGraph& graph)
 }
 
 // The transaction layer's writer thread: holds the wrapper's role; the
-// wrapper's bodies acquire the engine's (and, in commit, the ring's).
+// wrapper's bodies acquire the engine's (and, in commit, the published
+// state's).
 uint64_t txn_writer(MisTransaction& txn, const UpdateBatch& batch)
     PARGREEDY_REQUIRES(txn.writer_role_) {
   txn.begin();
@@ -68,17 +68,12 @@ uint64_t txn_writer(MisTransaction& txn, const UpdateBatch& batch)
   return txn.commit();
 }
 
-void ring_writer(VersionRing<uint8_t>& ring)
-    PARGREEDY_REQUIRES(ring.writer_role_) {
-  ring.push({});
-}
-
 // The lock-free reader surface: NO capability on the function — this is
 // the machine-checked statement that the published-read path is callable
 // without the writer role (the acceptance criterion of the epoch work).
 // The zero-copy accessors require the shared reader capability, which
-// the scoped ReadGuard acquires; the copying conveniences and the
-// Transaction read API need nothing at all.
+// the scoped ReadGuard acquires; acquire() and the Transaction read API
+// need nothing at all.
 uint64_t published_reader(const PublishedState<uint8_t>& state) {
   ReadGuard guard(state.epochs_);
   uint64_t sum = state.window(guard).versions.size();
@@ -103,6 +98,7 @@ void published_writer(PublishedState<uint8_t>& state)
   state.publish(0, 0, {});
   state.reclaim();
   (void)state.retired_count();
+  (void)state.writer_latest_version();
 }
 
 // Worker-width reconfiguration goes through the scoped guard, which holds
@@ -115,8 +111,6 @@ int scoped_width_change() {
 // Force analysis of every templated member.
 template class Transaction<MisTxnTraits>;
 template class Transaction<MatchingTxnTraits>;
-template class VersionRing<uint8_t>;
-template class VersionRing<VertexId>;
 template class PublishedState<uint8_t>;
 template class PublishedState<VertexId>;
 
