@@ -204,6 +204,8 @@ inline constexpr char kReaderPins[] = "reader.pins";
 inline constexpr char kEpochReclaimed[] = "epoch.reclaimed";
 inline constexpr char kReaderStaleDistance[] = "reader.stale_read_distance";
 inline constexpr char kPublishedVersions[] = "published.versions";
+inline constexpr char kPublishedChangedEntries[] =
+    "published.changed_entries";
 // Paper-grounded health: observed repropagation depth vs the O(log^2 n)
 // theoretical round bound, in permille (1000 = at the bound). The gauge
 // holds the last non-trivial batch; the histogram the distribution.

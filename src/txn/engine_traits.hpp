@@ -1,20 +1,39 @@
 // Engine traits for the transaction layer: the few engine-specific
 // facts Transaction<Traits> needs beyond the shared txn_* seams — the
-// engine type, its solution entry type, and how to copy the solution
-// out for publication.
+// engine type, its solution entry type, how to copy the solution out
+// for the version-0 baseline, and which solution entries an open
+// transaction changed, for patching every later version.
 //
-//   MisTxnTraits       solution is the in_set bitmap (uint8_t per vertex).
+//   MisTxnTraits       solution is the in_set bitmap (uint8_t per vertex);
+//                      a decision record's item is the vertex itself.
 //   MatchingTxnTraits  solution is the matched_with partner array
-//                      (VertexId per vertex, kInvalidVertex if unmatched).
+//                      (VertexId per vertex, kInvalidVertex if unmatched);
+//                      a decision record's item is an edge slot, whose
+//                      two endpoints are the entries that may change.
+//
+// changed_entries() reads the journal's decision records from `since`
+// on. Under a journal every solution change starts at a recorded
+// decision flip: an in_set bit, or a matched bit of a slot incident to
+// the vertex (repropagate() and matching's eager drops record each one,
+// and rollback_to() truncates the records it undoes). So the vertices
+// the records name cover every entry that differs from the last
+// published version. The pairs are deduplicated by vertex and carry the
+// current value; an entry flipped and flipped back is a harmless
+// unchanged pair.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "dynamic/dynamic_matching.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/engine_api.hpp"
+#include "dynamic/repropagate.hpp"
+#include "dynamic/undo_log.hpp"
 #include "graph/types.hpp"
+#include "parallel/parallel_for.hpp"
+#include "txn/published_state.hpp"
 
 namespace pargreedy {
 
@@ -39,6 +58,22 @@ struct MisTxnTraits {
   static std::vector<Value> solution(const Engine& engine) {
     return engine.solution();
   }
+
+  /// (vertex, in_set) for every vertex a decision record in
+  /// journal[since, size) names, sorted by vertex.
+  static std::vector<EntryChange<Value>> changed_entries(
+      const Engine& engine, const EngineJournal& journal, std::size_t since) {
+    std::vector<VertexId> touched;
+    for (std::size_t i = since; i < journal.size(); ++i)
+      if (journal[i].kind == EngineUndoRecord::Kind::kDecision)
+        touched.push_back(static_cast<VertexId>(journal[i].item));
+    sort_unique(touched);
+    std::vector<EntryChange<Value>> out;
+    out.reserve(touched.size());
+    for (const VertexId v : touched)
+      out.emplace_back(v, static_cast<Value>(engine.in_set(v)));
+    return out;
+  }
 };
 
 /// Transaction-layer binding for DynamicMatching (see file comment).
@@ -51,6 +86,27 @@ struct MatchingTxnTraits {
 
   static std::vector<Value> solution(const Engine& engine) {
     return engine.solution();
+  }
+
+  /// (vertex, matched_with) for both endpoints of every slot a decision
+  /// record in journal[since, size) names, sorted by vertex. Slots are
+  /// mapped to endpoints here, before commit's compaction re-keys them.
+  static std::vector<EntryChange<Value>> changed_entries(
+      const Engine& engine, const EngineJournal& journal, std::size_t since) {
+    std::vector<VertexId> touched;
+    for (std::size_t i = since; i < journal.size(); ++i) {
+      if (journal[i].kind != EngineUndoRecord::Kind::kDecision) continue;
+      const Edge e = engine.graph().slot_edge(journal[i].item);
+      touched.push_back(e.u);
+      touched.push_back(e.v);
+    }
+    sort_unique(touched);
+    std::vector<EntryChange<Value>> out(touched.size());
+    parallel_for(0, static_cast<int64_t>(touched.size()), [&](int64_t i) {
+      const VertexId v = touched[static_cast<std::size_t>(i)];
+      out[static_cast<std::size_t>(i)] = {v, engine.matched_with(v)};
+    });
+    return out;
   }
 };
 

@@ -2,19 +2,21 @@
 // versions behind one atomic pointer, reclaimed via epochs.
 //
 // This is the transactional writer's one representation of committed
-// history. At every commit the writer materializes the full solution as
-// an immutable PublishedVersion, assembles the retained window
-// [oldest, latest] into an immutable Table, and swaps it in with one
-// atomic exchange. Readers follow the pointer under an epoch pin
+// history. The constructor publishes the baseline as version 0; every
+// later version is a patch of the one before it: the writer copies the
+// newest flat solution, applies the (index, value) pairs its commit
+// changed, updates the checksum in O(1) per pair, assembles the retained
+// window [oldest, latest] into an immutable Table, and swaps it in with
+// one atomic exchange. Readers follow the pointer under an epoch pin
 // (txn/epoch.hpp) — no mutex, no wait on in-flight speculation, no
 // interaction with the writer beyond delaying reclamation of superseded
 // tables. The window holds `retention` full versions (each an O(n)
 // solution copy); versions shared by consecutive tables are shared_ptr
 // aliases, not copies.
 //
-//   writer, per commit:  build version -> build table -> exchange
-//                        pointer -> advance epoch -> free tables whose
-//                        retire epoch is below every pinned epoch
+//   writer, per commit:  copy newest -> apply changes -> build table ->
+//                        exchange pointer -> advance epoch -> free tables
+//                        whose retire epoch is below every pinned epoch
 //   reader, per read:    pin epoch (RAII) -> load pointer -> read the
 //                        immutable table -> unpin
 //
@@ -24,12 +26,19 @@
 // aborted state. The property tests check this bit-exactly against the
 // writer's own replayed history.
 //
-// Torn-read detection: each PublishedVersion carries a checksum (mix64
-// fold over the version id and solution entries, random/hash.hpp)
-// computed by the writer before the exchange. Immutability means a
-// reader recomputing the checksum must match; any mismatch is a torn or
-// reclaimed-under-foot read, and the stress suites verify on every
-// observation to make such a bug deterministic instead of heisenbug.
+// Torn-read detection: each PublishedVersion carries a checksum — a
+// wrapping sum of one version term and one position-keyed term per
+// entry (random/hash.hpp mix64), each injective in its value, so any
+// single-entry change is always caught. A sum is what lets publish()
+// patch it per changed entry; the writer sets it before the exchange.
+// Immutability means a reader recomputing the checksum from all n
+// entries must match; any mismatch is a torn or reclaimed-under-foot
+// read, and the stress suites verify on every observation to make such
+// a bug deterministic instead of heisenbug.
+//
+// Exception safety: publish() is strong. Everything that can throw (the
+// checks, the copy, the table, the retired-list slot) runs before the
+// exchange, so a throwing publish leaves the window as it was.
 //
 // Memory model: the pointer exchange and reader loads are seq_cst,
 // joining the epoch protocol's total order (the reclamation-safety
@@ -58,6 +67,10 @@ namespace pargreedy {
 /// ShardedEngine::read).
 inline constexpr uint64_t kLatestVersion = ~uint64_t{0};
 
+/// One patched solution entry: (index, new value).
+template <typename Value>
+using EntryChange = std::pair<std::size_t, Value>;
+
 /// One committed solution, frozen at publish time. Immutable after
 /// construction — that immutability is what makes the lock-free reads
 /// sound, and the checksum is what makes violations detectable.
@@ -69,12 +82,25 @@ struct PublishedVersion {
   std::vector<Value> solution;
   uint64_t checksum;        ///< checksum(version, solution), set at publish
 
-  /// The torn-read checksum: a mix64 fold over the version id and every
-  /// solution entry (order-sensitive via the chaining).
+  /// The checksum's version term (a bijection of the id).
+  static uint64_t version_term(uint64_t version) {
+    return mix64(version ^ 0x5075626c69736864ULL);  // "Publishd"
+  }
+
+  /// The checksum's term for entry `i` holding `value`: keyed by the
+  /// position, and a bijection of the value for a fixed position.
+  static uint64_t entry_term(std::size_t i, Value value) {
+    return mix64(mix64(i) ^ static_cast<uint64_t>(value));
+  }
+
+  /// The torn-read checksum: the wrapping sum of the version term and
+  /// every entry term. Position keying makes it order-sensitive; the
+  /// bijections make every single-entry change visible.
   static uint64_t compute_checksum(uint64_t version,
                                    const std::vector<Value>& solution) {
-    uint64_t h = mix64(version ^ 0x5075626c69736864ULL);  // "Publishd"
-    for (const Value v : solution) h = mix64(h ^ static_cast<uint64_t>(v));
+    uint64_t h = version_term(version);
+    for (std::size_t i = 0; i < solution.size(); ++i)
+      h += entry_term(i, solution[i]);
     return h;
   }
 
@@ -109,11 +135,21 @@ class PublishedState {
   /// expression at acquire and require sites.
   EpochManager epochs_;
 
-  /// Retains up to `retention` full versions (a Transaction passes its
-  /// read-back depth + 1: the newest version plus the ones reads can
-  /// reach back to).
-  explicit PublishedState(std::size_t retention) : retention_(retention) {
+  /// Publishes `baseline` as version 0, stamped `engine_epoch` — the one
+  /// full copy; every later version is a patch (publish()). Retains up to
+  /// `retention` full versions (a Transaction passes its read-back depth
+  /// + 1: the newest version plus the ones reads can reach back to).
+  PublishedState(std::size_t retention, uint64_t engine_epoch,
+                 std::vector<Value> baseline)
+      : retention_(retention) {
     PG_CHECK_MSG(retention >= 1, "published retention must be >= 1");
+    const uint64_t checksum = Version::compute_checksum(0, baseline);
+    auto table = std::make_unique<Table>();
+    table->versions.push_back(std::make_shared<const Version>(
+        Version{0, engine_epoch, epochs_.current_epoch(),
+                std::move(baseline), checksum}));
+    table_.store(table.release(), std::memory_order_seq_cst);
+    PG_OBS_COUNT(obs::kPublishedVersions, 1);
   }
 
   PublishedState(const PublishedState&) = delete;
@@ -127,36 +163,44 @@ class PublishedState {
     // retired_ unique_ptrs free themselves.
   }
 
-  /// True once publish() has run at least once (readers may only read a
-  /// state that has a baseline published).
-  [[nodiscard]] bool has_published() const noexcept {
-    return table_.load(std::memory_order_seq_cst) != nullptr;
-  }
-
-  /// Publishes `solution` as committed version `version`: builds the
-  /// immutable PublishedVersion (checksummed), assembles the new window
-  /// (evicting past retention), swaps the table pointer, advances the
-  /// epoch, and frees every superseded table no reader still pins.
+  /// Publishes committed version `version` as the newest version patched
+  /// by `changes`: copies its solution, applies the pairs in order (a
+  /// repeated index ends at its last value), updates the checksum in O(1)
+  /// per pair, assembles the new window (evicting past retention), swaps
+  /// the table pointer, advances the epoch, and frees every superseded
+  /// table no reader still pins. O(changes) plus one flat O(n) copy.
+  /// Checked, before anything changes: `version` is the next id and
+  /// every index is in range.
   void publish(uint64_t version, uint64_t engine_epoch,
-               std::vector<Value> solution) PARGREEDY_REQUIRES(writer_role_) {
-    PG_OBS_COUNT(obs::kPublishedVersions, 1);
-    const uint64_t checksum = Version::compute_checksum(version, solution);
-    auto ver = std::make_shared<const Version>(
-        Version{version, engine_epoch, epochs_.current_epoch(),
-                std::move(solution), checksum});
-
+               const std::vector<EntryChange<Value>>& changes)
+      PARGREEDY_REQUIRES(writer_role_) {
     const Table* old = table_.load(std::memory_order_relaxed);
-    auto next = std::make_unique<Table>();
-    if (old != nullptr) {
-      PG_CHECK_MSG(version == old->versions.back()->version + 1,
-                   "published versions must be consecutive (publishing "
-                       << version << " after "
-                       << old->versions.back()->version << ")");
-      next->versions = old->versions;
-      if (next->versions.size() == retention_)
-        next->versions.erase(next->versions.begin());
+    const Version& newest = *old->versions.back();
+    PG_CHECK_MSG(version == newest.version + 1,
+                 "published versions must be consecutive (publishing "
+                     << version << " after " << newest.version << ")");
+    std::vector<Value> solution = newest.solution;
+    uint64_t checksum = newest.checksum + Version::version_term(version) -
+                        Version::version_term(newest.version);
+    for (const auto& [i, value] : changes) {
+      PG_CHECK_MSG(i < solution.size(),
+                   "changed entry " << i << " out of range");
+      checksum += Version::entry_term(i, value) -
+                  Version::entry_term(i, solution[i]);
+      solution[i] = value;
     }
-    next->versions.push_back(std::move(ver));
+    auto next = std::make_unique<Table>();
+    next->versions = old->versions;
+    if (next->versions.size() == retention_)
+      next->versions.erase(next->versions.begin());
+    next->versions.push_back(std::make_shared<const Version>(
+        Version{version, engine_epoch, epochs_.current_epoch(),
+                std::move(solution), checksum}));
+    // Room for the retiree now, so nothing after the exchange can throw.
+    if (retired_.size() == retired_.capacity())
+      retired_.reserve(2 * retired_.size() + 1);
+    PG_OBS_COUNT(obs::kPublishedVersions, 1);
+    PG_OBS_HIST(obs::kPublishedChangedEntries, changes.size());
 
     // X: the exchange readers race against; A: the epoch advance; then
     // the reclamation scan — the X < A < scan order is what the safety
@@ -168,9 +212,7 @@ class PublishedState {
       support::RoleScope epoch_writer(epochs_.writer_role_);
       epochs_.advance();
     }
-    if (prev != nullptr)
-      retired_.emplace_back(retire_epoch,
-                            std::unique_ptr<const Table>(prev));
+    retired_.emplace_back(retire_epoch, std::unique_ptr<const Table>(prev));
     reclaim();
   }
 
@@ -195,12 +237,10 @@ class PublishedState {
 
   /// Newest published version id, read without an epoch pin: only the
   /// writer swaps and frees tables, so the current one cannot go away
-  /// under it. Checked: a baseline was published.
+  /// under it.
   [[nodiscard]] uint64_t writer_latest_version() const
       PARGREEDY_REQUIRES(writer_role_) {
-    const Table* t = table_.load(std::memory_order_relaxed);
-    PG_CHECK_MSG(t != nullptr, "nothing published yet");
-    return t->versions.back()->version;
+    return table_.load(std::memory_order_relaxed)->versions.back()->version;
   }
 
   /// Retired-but-not-yet-freed tables (tests/introspection; writer-only
@@ -223,9 +263,7 @@ class PublishedState {
   [[nodiscard]] const Table& window(const ReadGuard& guard) const
       PARGREEDY_REQUIRES_SHARED(epochs_.reader_role_) {
     (void)guard;
-    const Table* t = table_.load(std::memory_order_seq_cst);
-    PG_CHECK_MSG(t != nullptr, "nothing published yet");
-    return *t;
+    return *table_.load(std::memory_order_seq_cst);
   }
 
   /// The newest published version under `guard`.
@@ -282,7 +320,7 @@ class PublishedState {
 
  private:
   std::size_t retention_;
-  std::atomic<const Table*> table_{nullptr};
+  std::atomic<const Table*> table_{nullptr};  // set by the constructor
   // (retire epoch, table) in retire order — writer-only state.
   std::vector<std::pair<uint64_t, std::unique_ptr<const Table>>> retired_
       PARGREEDY_GUARDED_BY(writer_role_);

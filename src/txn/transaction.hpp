@@ -24,8 +24,11 @@
 //   rollback_to()  checkpoint inside the transaction; rollback_to replays
 //                  the undo logs down to it (strictly LIFO: rolling back
 //                  to an earlier savepoint invalidates later ones).
-//   commit()       drops the journal, runs the deferred compaction check
-//                  and publishes the new state as version version()+1.
+//   commit()       publishes the new state as version version()+1 —
+//                  the previous version patched with the entries the
+//                  journal's decision records name, O(changed) plus one
+//                  flat copy — then drops the journal and runs the
+//                  deferred compaction check.
 //   abort()        replays the undo logs back to begin(): overlay,
 //                  solution, cached priority keys, activity, and lifetime
 //                  stats are restored bit-exactly (the differential suite
@@ -33,12 +36,13 @@
 //
 // Versioned reads — lock-free, from any thread, at any time: read(v)
 // returns a self-contained ReadView (txn/read_view.hpp) served from the
-// *published state* (txn/published_state.hpp): at construction and at
-// every commit() the writer materializes the committed solution as an
-// immutable checksummed PublishedVersion and swaps in the retained
-// window with one atomic exchange. A read pins an epoch (RAII, one CAS
-// + one store — no mutex, no wait on in-flight speculation, no
-// blocking of the writer) and copies out of the immutable table.
+// *published state* (txn/published_state.hpp): at construction the
+// writer copies the engine's solution out as version 0, and at every
+// commit() it patches the newest version into an immutable checksummed
+// PublishedVersion and swaps in the retained window with one atomic
+// exchange. A read pins an epoch (RAII, one CAS + one store — no mutex,
+// no wait on in-flight speculation, no blocking of the writer) and
+// copies out of the immutable table.
 // Every observable value equals some committed version in
 // [oldest_version(), version()] — never speculative or aborted state —
 // and versions older than oldest_version() have been evicted (reads
@@ -111,7 +115,8 @@ class Transaction {
   support::Role writer_role_;
 
   /// Wraps `engine`, adopting its current state as version 0 (published
-  /// immediately, so readers have a baseline before the first commit).
+  /// immediately, so readers have a baseline before the first commit —
+  /// the one full solution copy; commits publish patches of it).
   /// Versioned reads reach back `retention` commits, so the published
   /// window holds `retention` + 1 versions. The engine must outlive the
   /// wrapper; route all mutations through it from here on (the epoch
@@ -119,11 +124,8 @@ class Transaction {
   explicit Transaction(Engine& engine,
                        std::size_t retention = kDefaultVersionRetention)
       : engine_(engine),
-        published_(retention + 1),
-        expected_epoch_(engine.epoch()) {
-    support::RoleScope published_writer(published_.writer_role_);
-    published_.publish(0, engine.epoch(), Traits::solution(engine));
-  }
+        published_(retention + 1, engine.epoch(), Traits::solution(engine)),
+        expected_epoch_(engine.epoch()) {}
 
   /// An open transaction is aborted (state restored) on destruction.
   /// (Destructors are outside the thread-safety analysis; by protocol the
@@ -242,9 +244,13 @@ class Transaction {
     txn_stats_ = snapshot.txn_stats;
   }
 
-  /// Makes the speculative state durable as version version()+1 (drops
-  /// the journal, runs the deferred compaction check, publishes) and
-  /// returns the new version.
+  /// Makes the speculative state durable as version version()+1 and
+  /// returns the new version: publishes it as a patch of the previous
+  /// version (O(changed entries) plus one flat copy), then drops the
+  /// journal and runs the deferred compaction check. Strong exception
+  /// safety for the publication: a throw while gathering the changes or
+  /// building the version leaves the transaction open and the published
+  /// window unchanged, so abort() restores the engine.
   uint64_t commit() PARGREEDY_REQUIRES(writer_role_) {
     PG_CHECK_MSG(active_, "commit() outside a transaction");
     PG_OBS_COUNT(obs::kTxnCommit, 1);
@@ -254,18 +260,21 @@ class Transaction {
     PG_OBS_SPAN1(span_commit, "txn.commit", "txn", "journal_records",
                  journal_.engine.size() - base_.engine_records);
     support::RoleScope engine_writer(engine_.writer_role_);
+    // The publication point, first: it reads the journal (and matching's
+    // slot endpoints, which the compaction below re-keys), and one atomic
+    // swap inside publish() shows the new version to concurrent readers.
+    // Compaction changes only overlay layout, never a solution value.
+    support::RoleScope published_writer(published_.writer_role_);
+    const uint64_t version = published_.writer_latest_version() + 1;
+    published_.publish(version, engine_.epoch(),
+                       Traits::changed_entries(engine_, journal_.engine,
+                                               base_.engine_records));
     journal_.engine.truncate(base_.engine_records);
     journal_.overlay.truncate(base_.overlay_records);
     engine_.txn_detach();
     active_ = false;
     engine_.compact_if_needed();  // deferred from the journaled applies
     expected_epoch_ = engine_.epoch();
-    // The publication point: one atomic swap and concurrent readers see
-    // the new version (the compaction above does not change solution
-    // values, only overlay layout, so publishing after it is exact).
-    support::RoleScope published_writer(published_.writer_role_);
-    const uint64_t version = published_.writer_latest_version() + 1;
-    published_.publish(version, engine_.epoch(), Traits::solution(engine_));
     return version;
   }
 

@@ -25,12 +25,11 @@ int main() {
   using pargreedy::PublishedState;
   using pargreedy::ReadGuard;
 
-  PublishedState<uint8_t> state(3);
+  PublishedState<uint8_t> state(3, 0, std::vector<uint8_t>{0, 1});
   {
     pargreedy::support::RoleScope writer(state.writer_role_);
-    for (uint64_t v = 0; v <= 4; ++v)
-      state.publish(v, v, std::vector<uint8_t>{static_cast<uint8_t>(v & 1),
-                                               static_cast<uint8_t>(1)});
+    for (uint64_t v = 1; v <= 4; ++v)
+      state.publish(v, v, {{0, static_cast<uint8_t>(v & 1)}});
   }
 
   // The reader hot path, seam off: everything must behave exactly as in
@@ -47,6 +46,7 @@ int main() {
     PG_CHECK(state.at(2, guard).solution[0] == 0);
   }
   PG_CHECK(state.epochs_.active_pins() == 0);
+  PG_CHECK(state.acquire()->solution == (std::vector<uint8_t>{0, 1}));
 
   bool threw = false;
   try {

@@ -162,6 +162,9 @@ void run_instance(const ShardedDifferential& fix, const CsrGraph& g,
       txn.apply(batch);
       txn.commit();
     }
+    ASSERT_EQ(txn.committed_solution(), single.solution())
+        << "single-engine publish diverged at round " << round << " (seed "
+        << fix.seed() << ", shards " << shards << ")";
     {
       support::RoleScope writer(sharded.writer_role_);
       sharded.apply_batch(batch);

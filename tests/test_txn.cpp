@@ -1,14 +1,16 @@
 // Unit tests for the transactional layer (src/txn/): snapshot/rollback
 // bit-exactness, commit equivalence, nested savepoints, the retained
-// version window, the epoch staleness guard, and the overlay undo journal
-// itself.
+// version window, the epoch staleness guard, a commit that throws while
+// publishing, and the overlay undo journal itself.
 //
 // The heavy randomized coverage lives in test_txn_differential.cpp; this
 // suite pins down the API contract and the corner cases one at a time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "dynamic/update_batch.hpp"
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
+#include "obs/obs.hpp"
 #include "support/check.hpp"
 #include "txn/epoch.hpp"
 #include "txn/published_state.hpp"
@@ -459,6 +462,107 @@ TEST(TxnMis, CommitRunsDeferredCompaction) {
   txn.commit();
   EXPECT_DOUBLE_EQ(dm.graph().overlay_fraction(), 0.0);  // folded at commit
 }
+
+// --- commit fault injection -----------------------------------------
+
+/// MisTxnTraits whose change-gathering hook throws while `fail` is set,
+/// standing in for any allocation failure on the publication path,
+/// which runs before commit() drops the journal.
+struct FailingCommitMisTraits : MisTxnTraits {
+  static inline bool fail = false;
+
+  static std::vector<EntryChange<Value>> changed_entries(
+      const Engine& engine, const EngineJournal& journal, std::size_t since) {
+    if (fail) throw std::bad_alloc();
+    return MisTxnTraits::changed_entries(engine, journal, since);
+  }
+};
+
+TEST(TxnMis, ThrowingCommitLeavesTransactionOpenAndWindowUnchanged) {
+  DynamicMis dm(EngineOptions::with_source(
+      weighted_graph(250, 1000, 25), PrioritySource::weight_hash_tiebreak(26)));
+  Transaction<FailingCommitMisTraits> txn(dm, /*retention=*/2);
+  for (uint64_t round = 0; round < 3; ++round) {  // a full window
+    txn.begin();
+    txn.apply(mixed_batch(dm.graph(), 12, 1500 + round));
+    txn.commit();
+  }
+  const std::vector<uint8_t> before = dm.solution();
+  ASSERT_EQ(txn.committed_solution(), before);
+  const uint64_t version = txn.version();
+  const uint64_t oldest = txn.oldest_version();
+
+  txn.begin();
+  txn.apply(mixed_batch(dm.graph(), 30, 1510));
+  ASSERT_NE(dm.solution(), before) << "the batch must change the solution";
+  FailingCommitMisTraits::fail = true;
+  EXPECT_THROW(txn.commit(), std::bad_alloc);
+  FailingCommitMisTraits::fail = false;
+
+  EXPECT_TRUE(txn.in_transaction());
+  EXPECT_EQ(txn.version(), version);
+  EXPECT_EQ(txn.oldest_version(), oldest);
+  EXPECT_EQ(txn.read().to_vector(), before);
+  EXPECT_TRUE(txn.read().verify_checksum());
+  txn.abort();
+  EXPECT_EQ(dm.solution(), before);
+
+  // The history is still whole: the next commit patches the unchanged
+  // newest version into exactly the engine's solution.
+  txn.begin();
+  txn.apply(mixed_batch(dm.graph(), 30, 1511));
+  EXPECT_EQ(txn.commit(), version + 1);
+  EXPECT_EQ(txn.committed_solution(), dm.solution());
+  EXPECT_TRUE(txn.read().verify_checksum());
+  EXPECT_EQ(txn.solution_at(version), before);
+}
+
+#if PARGREEDY_OBS
+/// MisTxnTraits that keeps the last change list it produced.
+struct RecordingMisTraits : MisTxnTraits {
+  static inline std::vector<EntryChange<Value>> last;
+
+  static std::vector<EntryChange<Value>> changed_entries(
+      const Engine& engine, const EngineJournal& journal, std::size_t since) {
+    last = MisTxnTraits::changed_entries(engine, journal, since);
+    return last;
+  }
+};
+
+TEST(TxnMis, CommitRecordsChangedEntriesOnce) {
+  obs::set_enabled(true);
+  DynamicMis dm(EngineOptions::with_source(
+      weighted_graph(250, 1000, 27), PrioritySource::weight_hash_tiebreak(28)));
+  Transaction<RecordingMisTraits> txn(dm);
+  const std::vector<uint8_t> before = dm.solution();
+  const obs::Histogram& hist =
+      obs::MetricsRegistry::global().histogram(obs::kPublishedChangedEntries);
+  const uint64_t count_before = hist.count();
+  const uint64_t sum_before = hist.sum();
+
+  txn.begin();
+  txn.apply(mixed_batch(dm.graph(), 30, 1520));
+  txn.apply(mixed_batch(dm.graph(), 30, 1521));
+  txn.commit();
+
+  const auto& changes = RecordingMisTraits::last;
+  EXPECT_EQ(hist.count(), count_before + 1);
+  EXPECT_EQ(hist.sum(), sum_before + changes.size());
+  // Distinct entries, and a superset of the entries that changed value.
+  for (std::size_t i = 1; i < changes.size(); ++i)
+    EXPECT_LT(changes[i - 1].first, changes[i].first);
+  const std::vector<uint8_t> after = dm.solution();
+  std::size_t differing = 0;
+  for (std::size_t v = 0; v < after.size(); ++v) {
+    if (after[v] == before[v]) continue;
+    ++differing;
+    EXPECT_TRUE(std::binary_search(
+        changes.begin(), changes.end(), EntryChange<uint8_t>{v, after[v]}))
+        << "vertex " << v << " changed but was not published";
+  }
+  EXPECT_GT(differing, 0u);
+}
+#endif
 
 // --- matching: the same contract one level up -----------------------
 

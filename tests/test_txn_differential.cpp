@@ -10,6 +10,10 @@
 //                       through nested savepoints first), and
 //   commit-equivalence  apply(B); commit()  is state-identical to a twin
 //                       engine's direct apply_batch(B), and
+//   publish oracle      right after each commit() the published version
+//                       equals the engine's own solution() and its
+//                       checksum verifies (commits publish patches, so
+//                       a missed entry would show here first), and
 //   versioned reads     solution_at(v) reproduces the solutions the test
 //                       recorded at the last few commits, even while a
 //                       speculative transaction is in flight, and
@@ -266,6 +270,11 @@ void run_rounds(const Fixture& fix, Engine& engine, Engine& twin) {
     txn.begin();
     txn.apply(batch);
     txn.commit();
+    // Per-commit publish oracle (see the file comment).
+    ASSERT_EQ(txn.committed_solution(), engine.solution())
+        << "published version diverged from the engine at round " << round
+        << " (seed " << fix.seed() << ")";
+    ASSERT_TRUE(txn.read().verify_checksum());
     twin.apply_batch(batch);
     ASSERT_EQ(capture(engine), capture(twin))
         << "commit diverged from direct apply at round " << round

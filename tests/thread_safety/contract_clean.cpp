@@ -95,10 +95,9 @@ uint64_t txn_lock_free_reader(const MisTransaction& txn) {
 // (the epoch advance acquires the manager's own writer role inside).
 void published_writer(PublishedState<uint8_t>& state)
     PARGREEDY_REQUIRES(state.writer_role_) {
-  state.publish(0, 0, {});
+  state.publish(state.writer_latest_version() + 1, 0, {});
   state.reclaim();
   (void)state.retired_count();
-  (void)state.writer_latest_version();
 }
 
 // Worker-width reconfiguration goes through the scoped guard, which holds

@@ -28,7 +28,7 @@ uint64_t reader_that_mutates(DynamicMis& engine, OverlayGraph& graph,
 // Publishing or reclaiming without the published state's writer role is
 // the same violation on the lock-free read path's writer side.
 uint64_t reader_that_publishes(PublishedState<uint8_t>& state) {
-  state.publish(0, 0, {});         // requires state.writer_role_
+  state.publish(1, 0, {});         // requires state.writer_role_
   state.reclaim();                 // requires state.writer_role_
   return 0;
 }
