@@ -51,9 +51,9 @@ struct BatchStats {
 /// per-policy `engine.*{engine=...}` series — the unlabeled totals are
 /// always bumped, so labeled series refine rather than replace them.
 /// `num_vertices` > 0 additionally scores the batch against the paper's
-/// round bound: `repro.depth_ratio` = rounds * 1000 / ceil(log2 n)^2
-/// permille (the SPAA'12 O(log^2 n) w.h.p. dependence-depth guarantee),
-/// recorded for batches that repropagated at all.
+/// round bound: `repro.depth_ratio` = rounds * 1000 / ceil(log2 n)
+/// permille (Fischer–Noever's Θ(log n) w.h.p. depth of parallel greedy
+/// MIS), recorded for batches that repropagated at all.
 void obs_accumulate_batch(const BatchStats& stats,
                           const char* engine_label = nullptr,
                           uint64_t num_vertices = 0);

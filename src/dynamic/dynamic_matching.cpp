@@ -17,11 +17,17 @@ struct MmReproEngine {
   [[nodiscard]] bool decide(EdgeSlot s) const { return dm.decide(s); }
   [[nodiscard]] bool current(EdgeSlot s) const { return dm.in_m_[s] != 0; }
   void commit(EdgeSlot s, bool value) const { dm.in_m_[s] = value ? 1 : 0; }
+  // Only a later incident edge holding s's new value can now disagree
+  // with decide() (the MIS argument on the line graph; see
+  // repropagate.hpp).
   void append_successors(EdgeSlot s, std::vector<EdgeSlot>& out) const {
+    const uint8_t value = dm.in_m_[s];
     const Edge e = dm.graph_.slot_edge(s);
     for (VertexId w : {e.u, e.v}) {
       dm.graph_.for_incident(w, [&](VertexId x, EdgeSlot t) {
-        if (dm.active_[x] && t != s && dm.earlier(s, t)) out.push_back(t);
+        if (dm.in_m_[t] == value && t != s && dm.active_[x] &&
+            dm.earlier(s, t))
+          out.push_back(t);
       });
     }
   }
@@ -46,7 +52,9 @@ DynamicMatching::DynamicMatching(EngineOptions options)
     pri_[static_cast<std::size_t>(e)] = k.primary;
     if (!pri2_.empty()) pri2_[static_cast<std::size_t>(e)] = k.secondary;
   });
-  in_m_ = mm_rootset(base, edge_order_for(base)).in_matching;
+  in_m_ = mm_prefix(base, edge_order_for(base),
+                    std::max<uint64_t>(1, base.num_edges() / 50))
+              .in_matching;
   in_m_.resize(base.num_edges(), 0);  // stays sized to slot_bound
   graph_ = OverlayGraph(std::move(base));
 }
@@ -68,14 +76,24 @@ bool DynamicMatching::earlier(EdgeSlot s, EdgeSlot t) const {
          edge_pair_key(graph_.slot_edge(t));
 }
 
+bool DynamicMatching::earlier(EdgeSlot s, PriorityKey key_s,
+                              EdgeSlot t) const {
+  const PriorityKey key_t = cached_slot_key(t);
+  if (key_s != key_t) return key_s < key_t;
+  return edge_pair_key(graph_.slot_edge(s)) <
+         edge_pair_key(graph_.slot_edge(t));
+}
+
 bool DynamicMatching::decide(EdgeSlot s) const {
   if (!slot_in_graph(s)) return false;
-  // s joins iff no earlier-ranked incident edge is in the matching.
+  // s joins iff no earlier-ranked incident edge is in the matching. The
+  // decision byte goes first: most incident edges are out, and one cached
+  // byte load then spares the random key loads.
   const Edge e = graph_.slot_edge(s);
   for (VertexId w : {e.u, e.v}) {
     const bool clear = graph_.for_incident_while(w, [&](VertexId x,
                                                         EdgeSlot t) {
-      return !(active_[x] && t != s && earlier(t, s) && in_m_[t]);
+      return !(in_m_[t] && t != s && active_[x] && earlier(t, s));
     });
     if (!clear) return false;
   }
@@ -220,23 +238,23 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
     if (s == kInvalidSlot || graph_.slot_weight(s) == w) continue;
     graph_.set_slot_weight(s, w);
     ++stats.reweighted;
-    const uint64_t old_pri = pri_[s];
-    const uint64_t old_pri2 = pri2_.empty() ? 0 : pri2_[s];
+    const PriorityKey old_key = cached_slot_key(s);
     refresh_slot(s);
-    if (pri_[s] == old_pri && (pri2_.empty() || pri2_[s] == old_pri2))
+    if (cached_slot_key(s) == old_key)
       continue;  // key ignores the weight (random_hash): provable no-op
     // An inactive endpoint keeps the edge out of the matching's graph: the
     // refreshed key simply waits for the activation seeds.
     if (!slot_in_graph(s)) continue;
     seeds.push_back(s);
     if (in_m_[s]) {
-      // s's rank moved while matched: an incident edge it used to block
-      // may now precede it (or vice versa), so every incident decision is
-      // re-examined. An unmatched s constrains nobody — seeding s alone
+      // s's rank moved while matched: it now blocks a different set of
+      // incident edges, and those differ exactly by the edges whose order
+      // with s flipped. An unmatched s constrains nobody — seeding s alone
       // suffices, and the rounds discover anything it newly blocks.
       for (VertexId y : {e.u, e.v}) {
         graph_.for_incident(y, [&](VertexId x, EdgeSlot t) {
-          if (active_[x] && t != s) seeds.push_back(t);
+          if (active_[x] && t != s && earlier(s, old_key, t) != earlier(s, t))
+            seeds.push_back(t);
         });
       }
     }
@@ -346,6 +364,9 @@ void DynamicMatching::compact() {
 }
 
 void DynamicMatching::compact_impl() {
+  // Everything that allocates runs before graph_.compact(), which is
+  // all-or-nothing: compaction never grows the slot range, so the
+  // per-slot arrays below only shrink, and a throw leaves the engine whole.
   const std::vector<Edge> matched = matched_edges();
   graph_.compact();  // slot weights survive; checks no journal attached
   ++epoch_;

@@ -40,8 +40,9 @@
 //
 // Reweights: a batch edge reweight changes the slot's weight in place (no
 // slot churn) and refreshes only that slot's cached key; if the key moved,
-// the slot — plus, when it was matched, its incident edges (the cone's
-// first layer) — seeds repropagation. Under policies whose keys ignore
+// the slot — plus, when it was matched, the incident edges whose order
+// with it flipped (the only ones it blocks differently) — seeds
+// repropagation. Under policies whose keys ignore
 // edge weights (random_hash) a reweight is a provable no-op: zero seeds,
 // zero rounds. Vertex reweights never touch edge priorities; the stored
 // weight just reaches future snapshots.
@@ -72,8 +73,9 @@ class DynamicMatching {
   /// Starts from `options.graph` with every vertex active; edge
   /// priorities come from `options.source` (edge_weight /
   /// weight_hash_tiebreak read the graph's edge weights — weighted greedy
-  /// matching) and the initial matching is computed with the parallel
-  /// rootset algorithm. Checked: `options.explicit_order` must be unset —
+  /// matching) and the initial matching is computed with the prefix
+  /// kernel (mm_prefix, window max(1, m/50), as the static path uses).
+  /// Checked: `options.explicit_order` must be unset —
   /// matching priorities live on edges, so no VertexOrder describes them.
   /// This is the only constructor; build options with the EngineOptions
   /// factories (engine_api.hpp).
@@ -204,6 +206,10 @@ class DynamicMatching {
 
   /// Priority comparison: s strictly earlier than t.
   [[nodiscard]] bool earlier(EdgeSlot s, EdgeSlot t) const;
+
+  /// earlier(s, t) with s ranked by `key_s` instead of its cached key —
+  /// how a reweight compares an edge's old rank with its neighbours'.
+  [[nodiscard]] bool earlier(EdgeSlot s, PriorityKey key_s, EdgeSlot t) const;
 
   [[nodiscard]] bool decide(EdgeSlot s) const;
 

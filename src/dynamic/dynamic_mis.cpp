@@ -19,9 +19,14 @@ struct MisReproEngine {
   void commit(VertexId v, bool value) const {
     dm.in_set_[v] = value ? 1 : 0;
   }
+  // Only a later neighbour holding v's new value can now disagree with
+  // decide(): one that is OUT when v turned IN is already blocked, and one
+  // that is IN when v turned OUT cannot exist (see repropagate.hpp).
   void append_successors(VertexId v, std::vector<VertexId>& out) const {
+    const uint8_t value = dm.in_set_[v];
     dm.graph_.for_incident(v, [&](VertexId w, EdgeSlot) {
-      if (dm.active_[w] && dm.earlier(v, w)) out.push_back(w);
+      if (dm.in_set_[w] == value && dm.active_[w] && dm.earlier(v, w))
+        out.push_back(w);
     });
   }
 };
@@ -63,7 +68,9 @@ void DynamicMis::init(CsrGraph base) {
     });
   }
   active_.assign(base.num_vertices(), 1);
-  in_set_ = mis_rootset(base, order_).in_set;
+  in_set_ = mis_prefix(base, order_,
+                       std::max<uint64_t>(1, base.num_vertices() / 50))
+                .in_set;
   graph_ = OverlayGraph(std::move(base));
 }
 
@@ -81,9 +88,12 @@ const VertexOrder& DynamicMis::order() const {
 bool DynamicMis::decide(VertexId v) const {
   if (!active_[v]) return false;
   // v joins iff no earlier-ranked neighbor is in the set. Inactive
-  // neighbors always have in_set_ == 0, so no activity check is needed.
+  // neighbors have in_set_ == 0 once repropagated (a vertex this batch
+  // deactivated is a seed and flips in the first round), so no activity
+  // check is needed. The decision byte goes first: most neighbours are
+  // out, and one cached byte load then spares two random key loads.
   return graph_.for_incident_while(v, [&](VertexId w, EdgeSlot) {
-    return !(earlier(w, v) && in_set_[w]);
+    return !(in_set_[w] && earlier(w, v));
   });
 }
 
@@ -104,25 +114,25 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
   BatchStats stats;
   std::vector<VertexId> seeds;
 
-  // Structural application, in the documented order. Only operations that
-  // change state seed repropagation; for an edge update only the later
-  // endpoint's greedy decision can change directly (the earlier endpoint
-  // never depends on it), and a toggled vertex seeds itself — everything
-  // downstream is discovered by the rounds.
+  // Structural application, in the documented order. in_set_ is not
+  // touched until repropagation, so every rule below reads the pre-batch
+  // fixpoint and seeds only vertices whose greedy decision the operation
+  // can change; everything downstream is discovered by the rounds. An
+  // edge update can change only its later endpoint (the earlier one never
+  // depends on it): an inserted blocker matters only if both endpoints
+  // are IN, a deleted one only if the earlier endpoint was IN.
   for (VertexId v : batch.deactivates()) {
     if (!active_[v]) continue;
     if (txn_) txn_->engine.record_active(v, true);
     active_[v] = 0;
     ++stats.deactivated;
-    seeds.push_back(v);
+    if (in_set_[v]) seeds.push_back(v);  // an OUT vertex blocked nobody
   }
-  // Sorted, for the vertex-reweight loop's lookups below.
-  std::vector<VertexId> deactivated(seeds);
-  std::sort(deactivated.begin(), deactivated.end());
   for (const Edge& e : batch.deletes()) {
     if (graph_.erase_edge(e.u, e.v) == kInvalidSlot) continue;
     ++stats.deleted;
-    seeds.push_back(earlier(e.u, e.v) ? e.v : e.u);
+    const bool u_first = earlier(e.u, e.v);
+    if (in_set_[u_first ? e.u : e.v]) seeds.push_back(u_first ? e.v : e.u);
   }
   for (std::size_t i = 0; i < batch.inserts().size(); ++i) {
     const Edge& e = batch.inserts()[i];
@@ -132,7 +142,8 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
         kInvalidSlot)
       continue;
     ++stats.inserted;
-    seeds.push_back(earlier(e.u, e.v) ? e.v : e.u);
+    if (in_set_[e.u] && in_set_[e.v])
+      seeds.push_back(earlier(e.u, e.v) ? e.v : e.u);
   }
   for (VertexId v : batch.activates()) {
     if (active_[v]) continue;
@@ -159,33 +170,24 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
     graph_.set_vertex_weight(v, w);
     ++stats.reweighted;
     if (!has_source_) continue;  // explicit pi never reads weights
+    const PriorityKey old_key = cached_vertex_key(v);
     const PriorityKey k = source_.vertex_key(v, w);
-    const bool key_changed =
-        k.primary != vpri_[v] ||
-        (!vpri2_.empty() && k.secondary != vpri2_[v]);
-    if (!key_changed) continue;  // e.g. random_hash: provable no-op
-    if (txn_)
-      txn_->engine.record_key(v, vpri_[v], vpri2_.empty() ? 0 : vpri2_[v]);
+    if (k == old_key) continue;  // e.g. random_hash: provable no-op
+    if (txn_) txn_->engine.record_key(v, old_key.primary, old_key.secondary);
     vpri_[v] = k.primary;
     if (!vpri2_.empty()) vpri2_[v] = k.secondary;
     order_stale_ = true;
-    if (!active_[v]) {
-      // An inactive rank influences nobody afterwards, but a vertex this
-      // batch deactivated still has neighbours it blocked under its old
-      // key. Its deactivation seed expands successors under the new key
-      // only, so those neighbours are seeded here.
-      if (std::binary_search(deactivated.begin(), deactivated.end(), v))
-        graph_.for_incident(v, [&](VertexId x, EdgeSlot) {
-          if (active_[x]) seeds.push_back(x);
-        });
-      continue;
-    }
-    // v's own decision and — through the flipped earlier(v, ·) relations —
-    // every active neighbor's decision may change directly; everything
-    // further is discovered by the rounds.
-    seeds.push_back(v);
+    // v's own decision may change. An IN v also blocks, under its new key,
+    // a different set of neighbours: exactly those whose order with v
+    // flipped. An OUT v constrains nobody. An inactive v still IN was
+    // deactivated by this batch and is seeded already; its flip expands
+    // under the new key only, so the neighbours it blocked under the old
+    // one are among these.
+    if (active_[v]) seeds.push_back(v);
+    if (!in_set_[v]) continue;
     graph_.for_incident(v, [&](VertexId x, EdgeSlot) {
-      if (active_[x]) seeds.push_back(x);
+      if (active_[x] && earlier(v, old_key, x) != earlier(v, x))
+        seeds.push_back(x);
     });
   }
 
@@ -231,6 +233,11 @@ PriorityKey DynamicMis::cached_vertex_key(VertexId v) const {
                "engine was built from an explicit VertexOrder; it caches "
                "no priority keys");
   return {vpri_[v], vpri2_.empty() ? 0 : vpri2_[v]};
+}
+
+bool DynamicMis::earlier(VertexId a, PriorityKey key_a, VertexId b) const {
+  const PriorityKey key_b = cached_vertex_key(b);
+  return key_a != key_b ? key_a < key_b : a < b;
 }
 
 void DynamicMis::txn_attach(TxnJournal* txn) {

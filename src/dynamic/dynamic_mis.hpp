@@ -15,13 +15,14 @@
 // Priorities under reweights: for a PrioritySource-built engine the
 // comparisons run on cached per-vertex PriorityKeys (key, id tie-break —
 // the identical total order the materialized VertexOrder would give), so
-// a batch vertex reweight only refreshes the affected keys and seeds the
-// vertex plus its active neighbors; under policies whose keys ignore
-// vertex weights (random_hash) a reweight is a provable no-op — zero
-// seeds, zero rounds. Edge reweights update the stored weight for
-// snapshots but never touch vertex priorities. An engine built from an
-// explicit VertexOrder has no policy to re-derive keys from; its pi is
-// fixed for life and reweights only update stored weights.
+// a batch vertex reweight only refreshes the affected keys. It seeds the
+// vertex and, when the vertex is IN, the active neighbours whose order
+// with it flipped (an OUT vertex constrains nobody); under policies whose
+// keys ignore vertex weights (random_hash) a reweight is a provable
+// no-op — zero seeds, zero rounds. Edge reweights update the stored
+// weight for snapshots but never touch vertex priorities. An engine built
+// from an explicit VertexOrder has no policy to re-derive keys from; its
+// pi is fixed for life and reweights only update stored weights.
 //
 // Concurrency contract (machine-checked): one writer, many readers. The
 // mutators (apply_batch, compact, the txn_* seams) may only be called by
@@ -75,8 +76,9 @@ class DynamicMis {
   support::Role writer_role_;
 
   /// Starts from `options.graph` with every vertex active; the initial
-  /// solution is computed with the parallel rootset algorithm. Priorities
-  /// come from `options.explicit_order` when set, else pi =
+  /// solution is computed with the prefix kernel (mis_prefix, window
+  /// max(1, n/50), as the static path uses). Priorities come from
+  /// `options.explicit_order` when set, else pi =
   /// options.source.vertex_order(graph) (the weighted policies read the
   /// graph's vertex weights — weighted greedy MIS). This is the only
   /// constructor; build options with the EngineOptions factories
@@ -229,6 +231,11 @@ class DynamicMis {
       return vpri2_[a] < vpri2_[b];
     return a < b;
   }
+
+  /// earlier(a, b) with a ranked by `key_a` instead of its cached key —
+  /// how a reweight compares a vertex's old rank with its neighbours'.
+  /// Source-built engines only.
+  [[nodiscard]] bool earlier(VertexId a, PriorityKey key_a, VertexId b) const;
 
   OverlayGraph graph_;
   mutable VertexOrder order_;      // lazily re-materialized after reweights

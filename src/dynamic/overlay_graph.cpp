@@ -370,19 +370,26 @@ void OverlayGraph::compact() {
   PG_OBS_COUNT(obs::kOverlayCompactions, 1);
   PG_OBS_SPAN2(span_compact, "compact", "overlay", "live_edges", live_edges_,
                "extra", extra_edges_.size());
-  base_ = to_csr();  // carries slot weights into the new base when weighted
-  base_dead_.assign(base_.num_edges(), 0);
+  // All-or-nothing: everything that allocates is built in locals first,
+  // so a throw (bad_alloc) leaves the overlay untouched; nothing after
+  // the last local allocates.
+  CsrGraph base = to_csr();  // carries slot weights when weighted
+  std::vector<uint8_t> base_dead(base.num_edges(), 0);
+  std::vector<Weight> base_weights;
+  if (edge_weighted_)
+    base_weights.assign(base.edge_weights().begin(),
+                        base.edge_weights().end());
+  base_ = std::move(base);
+  base_dead_.swap(base_dead);
+  base_weights_.swap(base_weights);
+  for (auto& adj : extra_adj_)  // frees each list; the universe is fixed
+    std::vector<std::pair<VertexId, uint32_t>>().swap(adj);
   extra_edges_.clear();
   extra_dead_.clear();
-  extra_adj_.assign(base_.num_vertices(), {});
+  extra_weights_.clear();
   live_edges_ = base_.num_edges();
   dead_base_ = 0;
   ++epoch_;
-  if (edge_weighted_) {
-    base_weights_.assign(base_.edge_weights().begin(),
-                         base_.edge_weights().end());
-    extra_weights_.clear();
-  }
 }
 
 }  // namespace pargreedy

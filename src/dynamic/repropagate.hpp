@@ -14,16 +14,27 @@
 //           commit    — store the decisions that flipped (parallel write,
 //                       disjoint slots),
 //           expand    — the later-ranked dependents of every flipped item
-//                       form the next frontier.
+//                       that can now disagree with decide() form the next
+//                       frontier.
 //
-// An item is re-examined whenever one of its inputs flips, so at the empty
-// frontier every item is consistent with its dependencies — and a state
-// that is everywhere locally consistent *is* the greedy solution (unique
-// by induction along the priority order). Rounds needed are bounded by the
-// longest priority-DAG path inside the affected cone, which Fischer–Noever
-// (and Theorem 3.5 of the source paper) bound by O(log^2 n) w.h.p. for
-// random priorities — this is why small batches settle in a handful of
-// rounds.
+// The round invariant: at the start of every round, every item outside
+// the frontier agrees with decide(). The engines' seeds establish it
+// (they name every item a structural update can make inconsistent), and
+// expansion keeps it with a filter: after a flip, only a later-ranked
+// successor whose stored value *equals* the flipped item's new value can
+// disagree. A successor that is OUT when its predecessor turned IN is
+// already blocked; one that is IN when its predecessor turned OUT cannot
+// exist, since it was either consistent at the round's start (and so not
+// IN next to an earlier IN item) or decided this round against the old
+// IN value (and so flipped OUT). The items the filter skips could not
+// flip, so every round flips exactly what an unfiltered expansion would.
+// At the empty frontier every item is consistent with its dependencies —
+// and a state that is everywhere locally consistent *is* the greedy
+// solution (unique by induction along the priority order). Rounds needed
+// are bounded by the longest priority-DAG path inside the affected cone,
+// which Fischer–Noever bound by Θ(log n) w.h.p. for random priorities
+// (Theorem 3.5 of the source paper gives O(log^2 n)) — this is why small
+// batches settle in a handful of rounds.
 //
 // The decide/commit split makes every round race-free: decides only read
 // engine state, commits write disjoint per-item slots, and the next
@@ -62,8 +73,13 @@ void sort_unique(std::vector<Item>& items) {
 ///                                 for items whose decision changed; must
 ///                                 touch only state keyed by that item);
 ///   void append_successors(Item, std::vector<Item>&) const
-///                                 append the later-ranked items whose
-///                                 decision depends on this one.
+///                                 called after the commit for an item
+///                                 that flipped; append the later-ranked
+///                                 items whose decision depends on this
+///                                 one *and* whose stored value equals
+///                                 its new one — the only ones that can
+///                                 now disagree with decide() (see the
+///                                 round invariant above).
 ///
 /// `limit` bounds the number of rounds (a correctness guard: the fixpoint
 /// is reached after at most longest-priority-path rounds, so hitting the

@@ -206,9 +206,9 @@ inline constexpr char kReaderStaleDistance[] = "reader.stale_read_distance";
 inline constexpr char kPublishedVersions[] = "published.versions";
 inline constexpr char kPublishedChangedEntries[] =
     "published.changed_entries";
-// Paper-grounded health: observed repropagation depth vs the O(log^2 n)
-// theoretical round bound, in permille (1000 = at the bound). The gauge
-// holds the last non-trivial batch; the histogram the distribution.
+// Paper-grounded health: observed repropagation depth vs the Θ(log n)
+// theoretical round bound, in permille (1000 = ceil(log2 n) rounds). The
+// gauge holds the last non-trivial batch; the histogram the distribution.
 inline constexpr char kReproDepthRatio[] = "repro.depth_ratio";
 inline constexpr char kReproDepthRatioDist[] = "repro.depth_ratio.dist";
 

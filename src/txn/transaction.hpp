@@ -250,7 +250,10 @@ class Transaction {
   /// journal and runs the deferred compaction check. Strong exception
   /// safety for the publication: a throw while gathering the changes or
   /// building the version leaves the transaction open and the published
-  /// window unchanged, so abort() restores the engine.
+  /// window unchanged, so abort() restores the engine. A throw from the
+  /// deferred compaction propagates after the version is published and
+  /// the transaction closed; compaction is all-or-nothing, so the engine
+  /// keeps its committed, uncompacted state and the next begin() works.
   uint64_t commit() PARGREEDY_REQUIRES(writer_role_) {
     PG_CHECK_MSG(active_, "commit() outside a transaction");
     PG_OBS_COUNT(obs::kTxnCommit, 1);
@@ -273,6 +276,9 @@ class Transaction {
     journal_.overlay.truncate(base_.overlay_records);
     engine_.txn_detach();
     active_ = false;
+    // Refreshed on both sides of the deferred compaction: if it throws,
+    // the stamp already matches the committed engine.
+    expected_epoch_ = engine_.epoch();
     engine_.compact_if_needed();  // deferred from the journaled applies
     expected_epoch_ = engine_.epoch();
     return version;

@@ -1,16 +1,20 @@
 // DynamicMis behavior tests: batch semantics, repropagation cascades,
-// activity toggles, compaction, and exact agreement with the sequential
-// greedy oracle after every batch.
+// activity toggles, compaction, the exact seed counts of each seeding
+// rule, and exact agreement with the sequential greedy oracle after every
+// batch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/mis/mis.hpp"
+#include "core/mis/vertex_order.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/update_batch.hpp"
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
+#include "graph/edge_list.hpp"
 #include "parallel/arch.hpp"
 #include "support/check.hpp"
 
@@ -198,9 +202,91 @@ TEST(DynamicMis, StatsAccounting) {
   EXPECT_EQ(stats.inserted, 1u);
   EXPECT_EQ(stats.deleted, 1u);
   EXPECT_EQ(stats.deactivated, 1u);
-  EXPECT_EQ(stats.seeds, 3u);
+  // Seed 6 ranks the path 7, 1, 0, 5, 2, 6, 4, 3, so the pre-batch MIS is
+  // {1, 3, 5, 7}. Insert 0-7: only 7 is IN, no seed. Delete 3-4: the
+  // earlier endpoint 4 is OUT, no seed. Deactivate 5: IN, one seed.
+  EXPECT_EQ(stats.seeds, 1u);
   EXPECT_GE(stats.recomputed, stats.seeds);
   EXPECT_FALSE(stats.summary().empty());
+  expect_matches_oracle(dm);
+}
+
+// --- Seeding rules ------------------------------------------------------
+// Every rule reads the pre-batch greedy state. Under the identity order
+// (vertex 0 first) that state can be read off the graph by hand.
+
+DynamicMis identity_engine(uint64_t n, std::vector<Edge> edges) {
+  return DynamicMis(EngineOptions::with_order(
+      CsrGraph::from_edges(EdgeList(n, std::move(edges))),
+      VertexOrder::identity(n)));
+}
+
+TEST(DynamicMisSeeds, InsertSeedsOnlyWhenBothEndpointsAreIn) {
+  DynamicMis dm = identity_engine(6, {{0, 1}, {2, 3}});
+  ASSERT_EQ(dm.solution(), (std::vector<uint8_t>{1, 0, 1, 0, 1, 1}));
+  struct Case {
+    Edge edge;
+    uint64_t seeds;
+  };
+  // 1-3: both OUT. 0-3: only the earlier endpoint IN, so 3 just gains a
+  // second blocker. 1-4: only the later endpoint IN, and an OUT vertex
+  // blocks nobody. 4-5: both IN, so 5 must leave.
+  for (const Case& c : {Case{{1, 3}, 0}, Case{{0, 3}, 0}, Case{{1, 4}, 0},
+                        Case{{4, 5}, 1}}) {
+    const BatchStats stats =
+        dm.apply_batch(UpdateBatch{}.insert_edge(c.edge.u, c.edge.v));
+    EXPECT_EQ(stats.inserted, 1u);
+    EXPECT_EQ(stats.seeds, c.seeds) << c.edge.u << "-" << c.edge.v;
+    EXPECT_EQ(stats.changed, c.seeds);
+    expect_matches_oracle(dm);
+  }
+  EXPECT_FALSE(dm.in_set(5));
+}
+
+TEST(DynamicMisSeeds, DeleteSeedsOnlyWhenTheEarlierEndpointIsIn) {
+  DynamicMis dm = identity_engine(3, {{0, 1}, {1, 2}});  // MIS {0, 2}
+  // 1-2: the earlier endpoint 1 is OUT, so 2 loses no blocker.
+  BatchStats stats = dm.apply_batch(UpdateBatch{}.delete_edge(1, 2));
+  EXPECT_EQ(stats.seeds, 0u);
+  EXPECT_EQ(stats.rounds, 0u);
+  expect_matches_oracle(dm);
+  // 0-1: 0 is IN, so 1 loses its only blocker and joins.
+  stats = dm.apply_batch(UpdateBatch{}.delete_edge(0, 1));
+  EXPECT_EQ(stats.seeds, 1u);
+  EXPECT_EQ(stats.changed, 1u);
+  EXPECT_TRUE(dm.in_set(1));
+  expect_matches_oracle(dm);
+}
+
+TEST(DynamicMisSeeds, DeactivationSeedsOnlyAnInVertex) {
+  DynamicMis dm = identity_engine(3, {{0, 1}, {1, 2}});  // MIS {0, 2}
+  // 1 is OUT: it blocked nobody, and inactive it stays OUT.
+  BatchStats stats = dm.apply_batch(UpdateBatch{}.deactivate(1));
+  EXPECT_EQ(stats.seeds, 0u);
+  EXPECT_EQ(stats.rounds, 0u);
+  expect_matches_oracle(dm);
+  dm.apply_batch(UpdateBatch{}.activate(1));
+  expect_matches_oracle(dm);
+  // 0 is IN: its departure cascades — 1 joins, 2 leaves.
+  stats = dm.apply_batch(UpdateBatch{}.deactivate(0));
+  EXPECT_EQ(stats.seeds, 1u);
+  EXPECT_EQ(stats.changed, 3u);
+  expect_matches_oracle(dm);
+}
+
+TEST(DynamicMisSeeds, FlipToInDoesNotRedecideOutSuccessors) {
+  // 0 blocks 1; 2 blocks 3, 4 and 5, which are also 1's later neighbours.
+  DynamicMis dm = identity_engine(
+      6, {{0, 1}, {1, 3}, {1, 4}, {1, 5}, {2, 3}, {2, 4}, {2, 5}});
+  ASSERT_EQ(dm.solution(), (std::vector<uint8_t>{1, 0, 1, 0, 0, 0}));
+  // Deleting 0-1 frees 1, which joins. Its later neighbours 3-5 are OUT
+  // and a new IN neighbour only blocks them further, so none of them is
+  // decided again: one seed, one decision, one round.
+  const BatchStats stats = dm.apply_batch(UpdateBatch{}.delete_edge(0, 1));
+  EXPECT_EQ(stats.seeds, 1u);
+  EXPECT_EQ(stats.recomputed, 1u);
+  EXPECT_EQ(stats.changed, 1u);
+  EXPECT_EQ(stats.rounds, 1u);
   expect_matches_oracle(dm);
 }
 

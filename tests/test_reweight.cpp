@@ -1,7 +1,8 @@
 // First-class reweight updates: batch semantics, precedence, the
-// random_hash provable-no-op guarantee, equivalence with delete+re-insert
-// and with from-scratch recomputation under every priority policy, and
-// the named-element weight validation errors.
+// random_hash provable-no-op guarantee, the exact seeds of a moved key,
+// equivalence with delete+re-insert and with from-scratch recomputation
+// under every priority policy, and the named-element weight validation
+// errors.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/matching/matching.hpp"
@@ -328,6 +330,68 @@ TEST(ReweightPrecedence, MisEdgeReweightReachesSnapshotsWithoutSeeding) {
       found = true;
     }
   EXPECT_TRUE(found);
+}
+
+// --- Seeds of a moved key ----------------------------------------------
+// A reweight seeds the element whose key moved and, only while it is IN,
+// the neighbours whose order with it flipped. On a 4-vertex path the
+// pre-batch state is read off the weights.
+
+/// Path 0-1-2-3 with the given vertex and edge weights (edges in path
+/// order).
+CsrGraph weighted_path(std::vector<Weight> vertex_weights,
+                       std::vector<Weight> edge_weights) {
+  CsrGraph g = CsrGraph::from_edges(path_graph(4));
+  g.set_vertex_weights(std::move(vertex_weights));
+  g.set_edge_weights(std::move(edge_weights));
+  return g;
+}
+
+TEST(ReweightSeeds, MisReweightOfAnOutVertexSeedsOnlyIt) {
+  const PrioritySource src = PrioritySource::vertex_weight();
+  DynamicMis dm(EngineOptions::with_source(
+      weighted_path({4.0, 3.0, 2.0, 1.0}, {1.0, 1.0, 1.0}), src));
+  ASSERT_EQ(dm.solution(), (std::vector<uint8_t>{1, 0, 1, 0}));
+  // 1 is OUT and constrains nobody, so moving it ahead of everyone seeds
+  // only 1 itself; the rounds find the rest (0 and 2 leave, 3 joins).
+  const BatchStats stats =
+      dm.apply_batch(UpdateBatch{}.reweight_vertex(1, 5.0));
+  EXPECT_EQ(stats.seeds, 1u);
+  EXPECT_EQ(stats.changed, 4u);
+  EXPECT_EQ(dm.solution(), (std::vector<uint8_t>{0, 1, 0, 1}));
+  expect_mis_exact(dm, src);
+}
+
+TEST(ReweightSeeds, MisReweightOfAnInVertexSeedsOnlyFlippedNeighbours) {
+  const PrioritySource src = PrioritySource::vertex_weight();
+  DynamicMis dm(EngineOptions::with_source(
+      weighted_path({4.0, 3.0, 2.0, 1.0}, {1.0, 1.0, 1.0}), src));
+  ASSERT_EQ(dm.solution(), (std::vector<uint8_t>{1, 0, 1, 0}));
+  // 2 is IN. Weight 0.5 moves it behind 3 but not behind 1: seeds 2 and
+  // 3, not 1. 3 joins and 2 leaves.
+  const BatchStats stats =
+      dm.apply_batch(UpdateBatch{}.reweight_vertex(2, 0.5));
+  EXPECT_EQ(stats.seeds, 2u);
+  EXPECT_EQ(stats.changed, 2u);
+  EXPECT_EQ(dm.solution(), (std::vector<uint8_t>{1, 0, 0, 1}));
+  expect_mis_exact(dm, src);
+}
+
+TEST(ReweightSeeds, MatchingReweightOfAMatchedEdgeSeedsOnlyFlippedEdges) {
+  const PrioritySource src = PrioritySource::edge_weight();
+  DynamicMatching dm(EngineOptions::with_source(
+      weighted_path({1.0, 1.0, 1.0, 1.0}, {1.0, 3.0, 2.0}), src));
+  ASSERT_TRUE(dm.matched(1, 2));  // the heaviest edge blocks both others
+  // Weight 1.5 moves 1-2 behind 2-3 but not behind 0-1: seeds 1-2 and
+  // 2-3, not 0-1. 2-3 joins, 1-2 leaves, and then 0-1 joins.
+  const BatchStats stats =
+      dm.apply_batch(UpdateBatch{}.reweight_edge(1, 2, 1.5));
+  EXPECT_EQ(stats.seeds, 2u);
+  EXPECT_EQ(stats.changed, 3u);
+  EXPECT_EQ(dm.matched_edges(), (std::vector<Edge>{{0, 1}, {2, 3}}));
+  const CsrGraph h = dm.active_subgraph();
+  ASSERT_EQ(dm.solution(), mm_weighted_sequential(h, src).matched_with);
+  ASSERT_EQ(dm.solution(), mm_sequential(h, dm.edge_order_for(h)).matched_with);
 }
 
 // --- Batch plumbing ----------------------------------------------------

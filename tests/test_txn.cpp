@@ -1,7 +1,8 @@
 // Unit tests for the transactional layer (src/txn/): snapshot/rollback
 // bit-exactness, commit equivalence, nested savepoints, the retained
 // version window, the epoch staleness guard, a commit that throws while
-// publishing, and the overlay undo journal itself.
+// publishing or while compacting after it, and the overlay undo journal
+// itself.
 //
 // The heavy randomized coverage lives in test_txn_differential.cpp; this
 // suite pins down the API contract and the corner cases one at a time.
@@ -25,6 +26,7 @@
 #include "graph/csr_graph.hpp"
 #include "obs/obs.hpp"
 #include "support/check.hpp"
+#include "support/thread_annotations.hpp"
 #include "txn/epoch.hpp"
 #include "txn/published_state.hpp"
 #include "txn/transaction.hpp"
@@ -515,6 +517,52 @@ TEST(TxnMis, ThrowingCommitLeavesTransactionOpenAndWindowUnchanged) {
   EXPECT_EQ(txn.committed_solution(), dm.solution());
   EXPECT_TRUE(txn.read().verify_checksum());
   EXPECT_EQ(txn.solution_at(version), before);
+}
+
+/// A DynamicMis whose deferred compaction throws while `fail` is set,
+/// standing in for an allocation failure inside the compaction that
+/// commit() runs after it has published and closed the transaction.
+struct ThrowingCompactionMis : DynamicMis {
+  using DynamicMis::DynamicMis;
+  static inline bool fail = false;
+
+  bool compact_if_needed() PARGREEDY_REQUIRES(writer_role_) {
+    if (fail) throw std::bad_alloc();
+    return DynamicMis::compact_if_needed();
+  }
+};
+
+struct FailingCompactionMisTraits : MisTxnTraits {
+  using Engine = ThrowingCompactionMis;
+};
+
+TEST(TxnMis, ThrowingCompactionAfterPublishLeavesTransactionUsable) {
+  ThrowingCompactionMis dm(EngineOptions::with_source(
+      weighted_graph(250, 1000, 29), PrioritySource::weight_hash_tiebreak(30)));
+  Transaction<FailingCompactionMisTraits> txn(dm);
+  const uint64_t version = txn.version();
+
+  txn.begin();
+  txn.apply(mixed_batch(dm.graph(), 30, 1530));
+  const std::vector<uint8_t> committed = dm.solution();
+  ThrowingCompactionMis::fail = true;
+  EXPECT_THROW(txn.commit(), std::bad_alloc);
+  ThrowingCompactionMis::fail = false;
+
+  // The version was published before the compaction ran.
+  EXPECT_FALSE(txn.in_transaction());
+  EXPECT_EQ(txn.version(), version + 1);
+  EXPECT_EQ(txn.committed_solution(), committed);
+  EXPECT_TRUE(txn.read().verify_checksum());
+
+  // The epoch stamp matches the committed engine, so the next
+  // transaction opens and publishes exactly the engine's solution.
+  txn.begin();
+  txn.apply(mixed_batch(dm.graph(), 30, 1531));
+  EXPECT_EQ(txn.commit(), version + 2);
+  EXPECT_EQ(txn.committed_solution(), dm.solution());
+  EXPECT_TRUE(txn.read().verify_checksum());
+  EXPECT_EQ(txn.solution_at(version + 1), committed);
 }
 
 #if PARGREEDY_OBS
