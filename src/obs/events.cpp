@@ -168,8 +168,13 @@ bool EventRecorder::dump_failure(const char* reason) noexcept {
   try {
     const std::string dir = env_string("PARGREEDY_EVENTS_DIR", "");
     if (dir.empty()) return false;
+    const uint64_t seq =
+        failure_dumps_.fetch_add(1, std::memory_order_relaxed);
+    if (seq >= kMaxFailureDumps) return false;
     record(EventKind::kDump);
-    return write_file(dir + "/EVENTS_failure_" + reason + ".json", reason);
+    return write_file(dir + "/EVENTS_failure_" + reason + "_" +
+                          std::to_string(seq) + ".json",
+                      reason);
   } catch (...) {
     return false;  // dumping is best-effort; never mask the real failure
   }

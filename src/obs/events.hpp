@@ -10,7 +10,8 @@
 // merged JSON dump — on demand (`dynamic_service stats --events-out`,
 // bench capture) or automatically on failure paths (engine epoch-guard
 // throws, matching certificate arbitration, exchange divergence) via
-// dump_failure() when PARGREEDY_EVENTS_DIR is set.
+// dump_failure() when PARGREEDY_EVENTS_DIR is set, numbered per process
+// and capped at kMaxFailureDumps files.
 //
 // Cost contract: a record is a handful of plain stores into memory only
 // the owning thread writes, published by ONE relaxed store of the ring's
@@ -200,10 +201,16 @@ class EventRecorder {
   bool write_file(const std::string& path,
                   const std::string& reason = "on_demand") const;
 
+  /// Failure dumps one recorder writes at most, so a caller that keeps
+  /// retrying a failing call cannot fill the disk.
+  static constexpr uint64_t kMaxFailureDumps = 16;
+
   /// The failure-path dump: when PARGREEDY_EVENTS_DIR is set, records a
-  /// kDump marker and writes EVENTS_failure_<reason>.json there; no-op
-  /// (false) otherwise. Never throws — safe to call while unwinding.
-  /// `reason` must be filename-safe ([a-z0-9_]).
+  /// kDump marker and writes EVENTS_failure_<reason>_<seq>.json there,
+  /// where <seq> numbers this recorder's dumps from 0 (so a repeated
+  /// failure keeps the first dump) up to kMaxFailureDumps; no-op (false)
+  /// otherwise or past the cap. Never throws — safe to call while
+  /// unwinding. `reason` must be filename-safe ([a-z0-9_]).
   bool dump_failure(const char* reason) noexcept;
 
   /// The process-wide recorder every PG_OBS_EVENT* records into.
@@ -223,6 +230,7 @@ class EventRecorder {
   // touch their own ring without it.
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Ring>> rings_;
+  std::atomic<uint64_t> failure_dumps_{0};  // dump_failure() calls so far
 };
 
 /// What PG_OBS_EVENT* expands to: one relaxed load when the runtime

@@ -115,9 +115,11 @@
                                  static_cast<uint64_t>(a1))
 
 // Failure-path flight-recorder dump: when PARGREEDY_EVENTS_DIR is set,
-// writes EVENTS_failure_<reason>.json there (reason: a filename-safe
-// string literal). Call where the failure is DETECTED, before throwing,
-// so the ring still holds the lead-up. Never throws.
+// writes EVENTS_failure_<reason>_<seq>.json there (reason: a
+// filename-safe string literal; seq: this process's dump count, capped
+// at EventRecorder::kMaxFailureDumps). Call where the failure is
+// DETECTED, before throwing, so the ring still holds the lead-up. Never
+// throws.
 #define PG_OBS_EVENT_DUMP(reason)                                  \
   do {                                                             \
     if (::pargreedy::obs::enabled()) {                             \
@@ -206,6 +208,9 @@ inline constexpr char kReaderStaleDistance[] = "reader.stale_read_distance";
 inline constexpr char kPublishedVersions[] = "published.versions";
 inline constexpr char kPublishedChangedEntries[] =
     "published.changed_entries";
+// Labeled {path="replayed"|"copied"|"fresh"}: how publish() got the
+// buffer of each new version (txn/published_state.hpp).
+inline constexpr char kPublishedBuffer[] = "published.buffer";
 // Paper-grounded health: observed repropagation depth vs the Θ(log n)
 // theoretical round bound, in permille (1000 = ceil(log2 n) rounds). The
 // gauge holds the last non-trivial batch; the histogram the distribution.

@@ -3,22 +3,49 @@
 //
 // This is the transactional writer's one representation of committed
 // history. The constructor publishes the baseline as version 0; every
-// later version is a patch of the one before it: the writer copies the
-// newest flat solution, applies the (index, value) pairs its commit
-// changed, updates the checksum in O(1) per pair, assembles the retained
-// window [oldest, latest] into an immutable Table, and swaps it in with
-// one atomic exchange. Readers follow the pointer under an epoch pin
-// (txn/epoch.hpp) — no mutex, no wait on in-flight speculation, no
+// later version is a patch of the one before it: the writer brings a
+// buffer up to the newest solution, applies the (index, value) pairs its
+// commit changed, updates the checksum in O(1) per pair, assembles the
+// retained window [oldest, latest] into an immutable Table, and swaps it
+// in with one atomic exchange. Readers follow the pointer under an epoch
+// pin (txn/epoch.hpp) — no mutex, no wait on in-flight speculation, no
 // interaction with the writer beyond delaying reclamation of superseded
 // tables. The window holds `retention` full versions (each an O(n)
-// solution copy); versions shared by consecutive tables are shared_ptr
+// solution); versions shared by consecutive tables are shared_ptr
 // aliases, not copies.
 //
-//   writer, per commit:  copy newest -> apply changes -> build table ->
-//                        exchange pointer -> advance epoch -> free tables
-//                        whose retire epoch is below every pinned epoch
+//   writer, per commit:  free unpinned tables -> take a released buffer
+//                        -> replay or copy it up to newest -> apply
+//                        changes -> build table -> exchange pointer ->
+//                        advance epoch -> free unpinned tables
 //   reader, per read:    pin epoch (RAII) -> load pointer -> read the
 //                        immutable table -> unpin
+//
+// Buffer reuse: a version evicted from the window is not freed but
+// handed back to the writer. Every version is owned through a shared_ptr
+// whose deleter deposits it in a one-slot mailbox (freeing whatever the
+// slot held), on whichever thread drops the last reference: the writer
+// freeing a table in reclaim(), or a reader dropping a ReadView. publish()
+// reclaims first (a reader pin that kept the evicting table alive at the
+// last commit is usually gone by now), takes the deposit, and brings it
+// from its own version to the newest by one of fixed rules:
+//
+//   replayed  the retained change lists of the versions after it, in
+//             version order, when they all are still retained and hold
+//             at most one pair per 64-byte cache line of the solution
+//             (pairs × 64 <= n × sizeof(Value)): each replayed pair
+//             dirties a line of its own, and a flat copy streams them;
+//   copied    the newest solution copied into it, when the lists do not
+//             cover it or are larger, when its id is not older than the
+//             newest (a publish that threw after the take leaves one) or
+//             when its size differs;
+//   fresh     a new buffer copied from the newest, when the mailbox is
+//             empty (a reader still holds the evicted version).
+//
+// So a commit costs O(changed entries) when readers release their views
+// by the next commit and the lists stay small, and one flat copy
+// otherwise. The window plus the mailbox hold `retention` + 1 buffers,
+// and the writer keeps the change list of each retained version.
 //
 // Staleness bound: a reader sees exactly the window some recent
 // exchange published — every value it can observe equals some committed
@@ -36,15 +63,24 @@
 // read, and the stress suites verify on every observation to make such
 // a bug deterministic instead of heisenbug.
 //
-// Exception safety: publish() is strong. Everything that can throw (the
-// checks, the copy, the table, the retired-list slot) runs before the
-// exchange, so a throwing publish leaves the window as it was.
+// Exception safety: publish() is strong. The checks run before the take,
+// and everything else that can throw (the table, the retired-list slot,
+// a fresh buffer, a copy) runs before the exchange, so a throwing
+// publish leaves the window and the change lists as they were. A buffer
+// taken before the throw goes back to the mailbox stamped with the
+// failed id, so the next publish copies over it instead of replaying.
 //
 // Memory model: the pointer exchange and reader loads are seq_cst,
 // joining the epoch protocol's total order (the reclamation-safety
 // argument lives in txn/epoch.hpp). Versions are shared_ptr-owned by
-// the tables that retain them, and only the writer copies those
-// shared_ptrs (table assembly at publish); readers touch no refcounts.
+// the tables that retain them and by the ReadViews acquire() hands out.
+// A buffer is written again only after its last owner released it: that
+// owner's reads precede its refcount decrement (acq_rel), the decrement
+// precedes the deleter's acq_rel exchange into the mailbox, and the
+// writer's acq_rel exchange out of the mailbox precedes its first write —
+// a happens-before chain TSan models, unlike a use_count() probe. The
+// mailbox is shared_ptr-owned by the state and by every deleter, so a
+// view that outlives its state deposits into live memory.
 #pragma once
 
 #include <atomic>
@@ -143,11 +179,12 @@ class PublishedState {
                  std::vector<Value> baseline)
       : retention_(retention) {
     PG_CHECK_MSG(retention >= 1, "published retention must be >= 1");
+    lists_.resize(retention);
     const uint64_t checksum = Version::compute_checksum(0, baseline);
     auto table = std::make_unique<Table>();
-    table->versions.push_back(std::make_shared<const Version>(
-        Version{0, engine_epoch, epochs_.current_epoch(),
-                std::move(baseline), checksum}));
+    table->versions.push_back(owned(new Version{
+        0, engine_epoch, epochs_.current_epoch(), std::move(baseline),
+        checksum}));
     table_.store(table.release(), std::memory_order_seq_cst);
     PG_OBS_COUNT(obs::kPublishedVersions, 1);
   }
@@ -160,47 +197,60 @@ class PublishedState {
   /// its reads would be UB — same rule as destroying any engine).
   ~PublishedState() PARGREEDY_NO_THREAD_SAFETY_ANALYSIS {
     delete table_.load(std::memory_order_relaxed);
-    // retired_ unique_ptrs free themselves.
+    // retired_ and the mailbox free themselves; a version a ReadView
+    // still holds deposits into the mailbox its deleter co-owns.
   }
 
   /// Publishes committed version `version` as the newest version patched
-  /// by `changes`: copies its solution, applies the pairs in order (a
-  /// repeated index ends at its last value), updates the checksum in O(1)
-  /// per pair, assembles the new window (evicting past retention), swaps
-  /// the table pointer, advances the epoch, and frees every superseded
-  /// table no reader still pins. O(changes) plus one flat O(n) copy.
+  /// by `changes`: brings a released buffer up to the newest solution
+  /// (see file comment), applies the pairs in order (a repeated index
+  /// ends at its last value), updates the checksum in O(1) per pair,
+  /// assembles the new window (evicting past retention), swaps the table
+  /// pointer, advances the epoch, frees every superseded table no reader
+  /// still pins, and keeps `changes` for later replays. O(changes) plus
+  /// the replay, or one flat O(n) copy when no buffer can be replayed.
   /// Checked, before anything changes: `version` is the next id and
   /// every index is in range.
   void publish(uint64_t version, uint64_t engine_epoch,
-               const std::vector<EntryChange<Value>>& changes)
+               std::vector<EntryChange<Value>> changes)
       PARGREEDY_REQUIRES(writer_role_) {
     const Table* old = table_.load(std::memory_order_relaxed);
     const Version& newest = *old->versions.back();
     PG_CHECK_MSG(version == newest.version + 1,
                  "published versions must be consecutive (publishing "
                      << version << " after " << newest.version << ")");
-    std::vector<Value> solution = newest.solution;
-    uint64_t checksum = newest.checksum + Version::version_term(version) -
-                        Version::version_term(newest.version);
-    for (const auto& [i, value] : changes) {
-      PG_CHECK_MSG(i < solution.size(),
-                   "changed entry " << i << " out of range");
-      checksum += Version::entry_term(i, value) -
-                  Version::entry_term(i, solution[i]);
-      solution[i] = value;
-    }
+    for (const auto& change : changes)
+      PG_CHECK_MSG(change.first < newest.solution.size(),
+                   "changed entry " << change.first << " out of range");
+    // A reader pin that kept the last evicting table alive is usually
+    // gone by now; freeing the table deposits its evicted version.
+    reclaim();
     auto next = std::make_unique<Table>();
-    next->versions = old->versions;
-    if (next->versions.size() == retention_)
-      next->versions.erase(next->versions.begin());
-    next->versions.push_back(std::make_shared<const Version>(
-        Version{version, engine_epoch, epochs_.current_epoch(),
-                std::move(solution), checksum}));
+    const std::size_t kept =
+        old->versions.size() - (old->versions.size() == retention_ ? 1 : 0);
+    next->versions.reserve(kept + 1);
+    next->versions.assign(old->versions.end() - kept, old->versions.end());
     // Room for the retiree now, so nothing after the exchange can throw.
     if (retired_.size() == retired_.capacity())
       retired_.reserve(2 * retired_.size() + 1);
+
+    [[maybe_unused]] const char* path = nullptr;
+    std::shared_ptr<Version> built = buffer_at_newest(version, newest, path);
+    uint64_t checksum = newest.checksum + Version::version_term(version) -
+                        Version::version_term(newest.version);
+    for (const auto& [i, value] : changes) {
+      checksum += Version::entry_term(i, value) -
+                  Version::entry_term(i, built->solution[i]);
+      built->solution[i] = value;
+    }
+    built->engine_epoch = engine_epoch;
+    built->published_epoch = epochs_.current_epoch();
+    built->checksum = checksum;
+    next->versions.push_back(std::move(built));
     PG_OBS_COUNT(obs::kPublishedVersions, 1);
     PG_OBS_HIST(obs::kPublishedChangedEntries, changes.size());
+    PG_OBS_COUNT(obs::kPublishedBuffer, 1);
+    PG_OBS_COUNT_L(obs::kPublishedBuffer, "path", path, 1);
 
     // X: the exchange readers race against; A: the epoch advance; then
     // the reclamation scan — the X < A < scan order is what the safety
@@ -213,6 +263,7 @@ class PublishedState {
       epochs_.advance();
     }
     retired_.emplace_back(retire_epoch, std::unique_ptr<const Table>(prev));
+    lists_[version % retention_] = std::move(changes);
     reclaim();
   }
 
@@ -319,10 +370,82 @@ class PublishedState {
   }
 
  private:
+  // The one-slot handoff of released versions back to the writer (see
+  // file comment). Its last owner — the state or a version's deleter —
+  // frees the deposit left in it.
+  struct Mailbox {
+    std::atomic<Version*> slot{nullptr};
+    ~Mailbox() { delete slot.load(std::memory_order_acquire); }
+  };
+
+  // Every version's deleter: deposits the released version, freeing the
+  // one it displaces. Runs on the thread dropping the last reference.
+  struct Deposit {
+    std::shared_ptr<Mailbox> mailbox;
+    void operator()(Version* v) const noexcept {
+      delete mailbox->slot.exchange(v, std::memory_order_acq_rel);
+    }
+  };
+
+  // Owns `v` through the depositing deleter (which also runs if this
+  // throws).
+  std::shared_ptr<Version> owned(Version* v) const {
+    return std::shared_ptr<Version>(v, Deposit{mailbox_});
+  }
+
+  // A buffer holding `newest`'s solution and stamped `version`: the
+  // mailbox's deposit replayed or copied forward, or a fresh copy when
+  // the mailbox is empty. `path` names which (see file comment).
+  std::shared_ptr<Version> buffer_at_newest(uint64_t version,
+                                            const Version& newest,
+                                            const char*& path)
+      PARGREEDY_REQUIRES(writer_role_) {
+    Version* deposit =
+        mailbox_->slot.exchange(nullptr, std::memory_order_acq_rel);
+    if (deposit == nullptr) {
+      path = "fresh";
+      return owned(new Version{version, 0, 0, newest.solution, 0});
+    }
+    const uint64_t from = deposit->version;
+    bool replay = from < newest.version &&
+                  newest.version - from <= retention_ &&
+                  deposit->solution.size() == newest.solution.size();
+    if (replay) {
+      // A replayed pair dirties a cache line of its own, where a copy
+      // streams whole lines: replay at most one pair per line.
+      std::size_t pairs = 0;
+      for (uint64_t v = from + 1; v <= newest.version; ++v)
+        pairs += lists_[v % retention_].size();
+      replay = pairs * kCacheLineBytes <=
+               newest.solution.size() * sizeof(Value);
+    }
+    // Stamped before the first write, so a throw from here on returns a
+    // buffer to the mailbox that the next publish copies over.
+    deposit->version = version;
+    std::shared_ptr<Version> buffer = owned(deposit);
+    if (replay) {
+      path = "replayed";
+      for (uint64_t v = from + 1; v <= newest.version; ++v)
+        for (const auto& [i, value] : lists_[v % retention_])
+          deposit->solution[i] = value;
+    } else {
+      path = "copied";
+      deposit->solution = newest.solution;
+    }
+    return buffer;
+  }
+
+  static constexpr std::size_t kCacheLineBytes = 64;
+
   std::size_t retention_;
   std::atomic<const Table*> table_{nullptr};  // set by the constructor
+  std::shared_ptr<Mailbox> mailbox_ = std::make_shared<Mailbox>();
   // (retire epoch, table) in retire order — writer-only state.
   std::vector<std::pair<uint64_t, std::unique_ptr<const Table>>> retired_
+      PARGREEDY_GUARDED_BY(writer_role_);
+  // The `changes` that made version v, at v % retention_, for every
+  // retained v >= 1 — writer-only state.
+  std::vector<std::vector<EntryChange<Value>>> lists_
       PARGREEDY_GUARDED_BY(writer_role_);
 };
 

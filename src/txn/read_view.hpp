@@ -19,7 +19,10 @@
 // storable across writer commits, and never occupy one of the bounded
 // epoch slots while held. (Holding a view only retains one immutable
 // version's memory; it cannot block the writer or delay reclamation of
-// anything else.) Acquiring the shared_ptr touches an atomic refcount,
+// anything else. Holding a view of a version the window has evicted
+// keeps its buffer from being reused, so the writer allocates a fresh
+// one for one commit; dropping the view hands the buffer back.)
+// Acquiring the shared_ptr touches an atomic refcount,
 // which is the deliberate price for escaping guard-scoped lifetimes;
 // readers that want the refcount-free fast path can still use
 // PublishedState's guarded accessors directly.

@@ -26,9 +26,11 @@
 //                  to an earlier savepoint invalidates later ones).
 //   commit()       publishes the new state as version version()+1 —
 //                  the previous version patched with the entries the
-//                  journal's decision records name, O(changed) plus one
-//                  flat copy — then drops the journal and runs the
-//                  deferred compaction check.
+//                  journal's decision records name, written into a
+//                  released version's buffer replayed forward
+//                  (O(changed); one flat copy when it cannot be) —
+//                  then drops the journal and runs the deferred
+//                  compaction check.
 //   abort()        replays the undo logs back to begin(): overlay,
 //                  solution, cached priority keys, activity, and lifetime
 //                  stats are restored bit-exactly (the differential suite
@@ -246,8 +248,9 @@ class Transaction {
 
   /// Makes the speculative state durable as version version()+1 and
   /// returns the new version: publishes it as a patch of the previous
-  /// version (O(changed entries) plus one flat copy), then drops the
-  /// journal and runs the deferred compaction check. Strong exception
+  /// version (O(changed entries) when a released buffer can be replayed
+  /// forward, one flat copy otherwise — see txn/published_state.hpp),
+  /// then drops the journal and runs the deferred compaction check. Strong exception
   /// safety for the publication: a throw while gathering the changes or
   /// building the version leaves the transaction open and the published
   /// window unchanged, so abort() restores the engine. A throw from the

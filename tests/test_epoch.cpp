@@ -18,6 +18,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <ostream>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 #include "support/check.hpp"
 #include "txn/epoch.hpp"
 #include "txn/published_state.hpp"
+#include "txn/read_view.hpp"
 
 namespace pargreedy {
 namespace {
@@ -38,6 +42,85 @@ std::vector<uint8_t> bits(std::initializer_list<int> vs) {
 }
 
 using Changes = std::vector<EntryChange<uint8_t>>;
+
+// How many publishes took each buffer path (published.buffer{path}).
+struct BufferPaths {
+  uint64_t replayed = 0, copied = 0, fresh = 0;
+  bool operator==(const BufferPaths&) const = default;
+  BufferPaths operator-(const BufferPaths& o) const {
+    return {replayed - o.replayed, copied - o.copied, fresh - o.fresh};
+  }
+};
+
+std::ostream& operator<<(std::ostream& out, const BufferPaths& p) {
+  return out << "{replayed " << p.replayed << ", copied " << p.copied
+             << ", fresh " << p.fresh << "}";
+}
+
+// The path counts so far; switches counting on for the publishes after.
+BufferPaths buffer_paths() {
+#if PARGREEDY_OBS
+  obs::set_enabled(true);
+  const auto count = [](const char* path) {
+    return obs::MetricsRegistry::global().counter_value(
+        obs::labeled_name(obs::kPublishedBuffer, "path", path));
+  };
+  return {count("replayed"), count("copied"), count("fresh")};
+#else
+  return {};
+#endif
+}
+
+// Expects the publishes since `before` to have taken each path that many
+// times; nothing is counted, so nothing is checked, with obs compiled out.
+#if PARGREEDY_OBS
+#define EXPECT_BUFFER_PATHS(before, replayed, copied, fresh) \
+  EXPECT_EQ(buffer_paths() - (before), (BufferPaths{replayed, copied, fresh}))
+#else
+#define EXPECT_BUFFER_PATHS(before, replayed, copied, fresh) ((void)(before))
+#endif
+
+// Publishes deterministic patches into a PublishedState<uint8_t> of n
+// zeros and keeps every version's expected solution, replayed here
+// independently of the state's own change lists.
+struct PatchDriver {
+  PublishedState<uint8_t> state;
+  std::vector<std::vector<uint8_t>> expected;  // by version id
+
+  explicit PatchDriver(std::size_t retention, std::size_t n = 4096)
+      : state(retention, 0, std::vector<uint8_t>(n, 0)),
+        expected{std::vector<uint8_t>(n, 0)} {}
+
+  // Publishes the next version with `pairs` changed entries (default
+  // 1-3), then checks it against the expected solution.
+  void publish(std::size_t pairs = 0) {
+    const uint64_t version = expected.size();
+    if (pairs == 0) pairs = 1 + version % 3;
+    std::vector<uint8_t> expect = expected.back();
+    Changes patch;
+    for (std::size_t j = 0; j < pairs; ++j) {
+      const uint64_t h = mix64(version * 16 + j);
+      patch.emplace_back(h % expect.size(), static_cast<uint8_t>(h >> 56));
+      expect[patch.back().first] = patch.back().second;
+    }
+    expected.push_back(expect);
+    support::RoleScope writer(state.writer_role_);
+    state.publish(version, version, patch);
+    const auto latest = state.acquire();
+    EXPECT_EQ(latest->solution, expect) << "version " << version;
+    EXPECT_TRUE(latest->verify_checksum()) << "version " << version;
+  }
+
+  // Every retained version equals its expected solution and verifies.
+  void expect_window_verifies() {
+    ReadGuard guard(state.epochs_);
+    for (const auto& ver : state.window(guard).versions) {
+      EXPECT_EQ(ver->solution, expected[ver->version])
+          << "version " << ver->version;
+      EXPECT_TRUE(ver->verify_checksum()) << "version " << ver->version;
+    }
+  }
+};
 
 // ---- EpochManager ----------------------------------------------------
 
@@ -245,7 +328,9 @@ TEST(PublishedStateTest, PatchedChecksumEqualsFullRecompute) {
 }
 
 // A rejected publish (strong exception safety): the window, the newest
-// version, and the retired list are exactly as before the call.
+// version, and the retired list are exactly as before the call — first
+// with the mailbox empty, then with a released version waiting in it,
+// which the rejected publishes leave for the next one to reuse.
 TEST(PublishedStateTest, RejectedPublishLeavesWindowUnchanged) {
   PublishedState<uint8_t> state(2, 0, bits({0, 1}));
   support::RoleScope writer(state.writer_role_);
@@ -261,6 +346,131 @@ TEST(PublishedStateTest, RejectedPublishLeavesWindowUnchanged) {
   EXPECT_TRUE(before->verify_checksum());
   state.publish(2, 2, Changes{{1, 0}});  // the next id still publishes
   EXPECT_EQ(state.acquire()->solution, bits({1, 0}));
+
+  // Version 0 left the window at version 2 and is waiting in the mailbox.
+  const auto newest = state.acquire();
+  const BufferPaths paths_before = buffer_paths();
+  EXPECT_THROW(state.publish(3, 3, Changes{{0, 0}, {5, 1}}), CheckFailure);
+  EXPECT_THROW(state.publish(4, 3, Changes{{0, 0}}), CheckFailure);
+  EXPECT_EQ(state.acquire(), newest);
+  EXPECT_EQ(state.oldest_version(), 1u);
+  EXPECT_EQ(state.retired_count(), retired_before);
+  state.publish(3, 3, Changes{{0, 0}});
+  // The deposit, copied into: its two change pairs outweigh two entries.
+  EXPECT_BUFFER_PATHS(paths_before, 0, 1, 0);
+  EXPECT_EQ(state.acquire()->solution, bits({0, 0}));
+  ReadGuard guard(state.epochs_);
+  for (const auto& ver : state.window(guard).versions)
+    EXPECT_TRUE(ver->verify_checksum()) << "version " << ver->version;
+}
+
+// No readers: once the window is full, every publish replays the change
+// lists onto the version the previous publish evicted, at any retention
+// (1 keeps only the newest version). Every version equals the expected
+// solution, replayed independently, and verifies from all n entries.
+TEST(PublishedStateTest, ReleasedBuffersAreReplayedForward) {
+  for (const std::size_t retention : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "retention " << retention);
+    PatchDriver d(retention);
+    const BufferPaths before = buffer_paths();
+    const std::size_t publishes = 4 * retention + 5;
+    for (std::size_t k = 0; k < publishes; ++k) d.publish();
+    // The first `retention` publishes find the mailbox empty: nothing
+    // has left the window before them.
+    EXPECT_BUFFER_PATHS(before, publishes - retention, 0, retention);
+    d.expect_window_verifies();
+  }
+}
+
+// Retained lists holding more than one pair per cache line of the
+// solution are not replayed: the deposit is copied into instead.
+TEST(PublishedStateTest, OversizedChangeListsAreCopiedNotReplayed) {
+  PatchDriver d(2, 256);  // 256 one-byte entries: 4 cache lines
+  d.publish(1);
+  d.publish(1);  // evicts version 0
+  const BufferPaths before = buffer_paths();
+  d.publish(1);  // lists 1 and 2: 2 pairs
+  d.publish(5);  // lists 2 and 3: 2 pairs
+  d.publish(1);  // lists 3 and 4: 6 pairs, over a flat copy
+  d.publish(1);  // lists 4 and 5: 6 pairs
+  d.publish(1);  // lists 5 and 6: 2 pairs
+  EXPECT_BUFFER_PATHS(before, 3, 2, 0);
+  d.expect_window_verifies();
+}
+
+// A version a ReadView-style owner still holds is never written: the
+// writer allocates instead of reusing it, once, and keeps reusing the
+// buffers that are released. The held solution and its checksum are
+// bit-exact after 3 × retention publishes.
+TEST(PublishedStateTest, HeldVersionIsNeverWritten) {
+  constexpr std::size_t kRetention = 3;
+  PatchDriver d(kRetention);
+  for (std::size_t k = 0; k < kRetention; ++k) d.publish();
+  const auto held = d.state.acquire(1);  // the next version evicted
+  const std::vector<uint8_t> solution = held->solution;
+  const uint64_t checksum = held->checksum;
+  const BufferPaths before = buffer_paths();
+  for (std::size_t k = 0; k < 3 * kRetention; ++k) d.publish();
+  // Only the publish right after version 1 left the window found the
+  // mailbox empty.
+  EXPECT_BUFFER_PATHS(before, 3 * kRetention - 1, 0, 1);
+  EXPECT_EQ(held->version, 1u);
+  EXPECT_EQ(held->solution, solution);
+  EXPECT_EQ(held->checksum, checksum);
+  EXPECT_TRUE(held->verify_checksum());
+  d.expect_window_verifies();
+}
+
+// A version released long after it left the window is too stale for the
+// retained lists to cover: the next publish copies into it.
+TEST(PublishedStateTest, StaleDepositIsCopiedNotReplayed) {
+  constexpr std::size_t kRetention = 2;
+  PatchDriver d(kRetention);
+  auto held = d.state.acquire(0);
+  for (std::size_t k = 0; k < 2 * kRetention + 1; ++k) d.publish();
+  held.reset();  // version 0, 5 commits behind, displaces the deposit
+  const BufferPaths before = buffer_paths();
+  d.publish();
+  EXPECT_BUFFER_PATHS(before, 0, 1, 0);
+  d.publish();
+  EXPECT_BUFFER_PATHS(before, 1, 1, 0);
+  d.expect_window_verifies();
+}
+
+// The last owner of an evicted version can be a reader thread: a
+// ReadView dropped there deposits the buffer, and the writer's next
+// publish reuses it. (The TSan CI job checks the handoff's ordering.)
+TEST(PublishedStateTest, ReaderThreadReleaseIsReused) {
+  constexpr std::size_t kRetention = 2;
+  PatchDriver d(kRetention);
+  ReadView<uint8_t> view(d.state.acquire());  // version 0
+  const uint8_t* buffer = view.values().data();
+  for (std::size_t k = 0; k < kRetention; ++k) d.publish();
+  ASSERT_EQ(d.state.oldest_version(), 1u);  // version 0 was evicted
+  bool verified = false;
+  std::thread reader([v = std::move(view), &verified]() mutable {
+    verified = v.verify_checksum();
+    v = ReadView<uint8_t>();  // the last reference drops here
+  });
+  reader.join();
+  EXPECT_TRUE(verified);
+  const BufferPaths before = buffer_paths();
+  d.publish();  // two versions behind: replays lists 1 and 2
+  EXPECT_BUFFER_PATHS(before, 1, 0, 0);
+  EXPECT_EQ(d.state.acquire()->solution.data(), buffer);
+  d.expect_window_verifies();
+}
+
+// A view that outlives its state still releases into live memory: the
+// deleter co-owns the mailbox. Under ASan this is the proof.
+TEST(PublishedStateTest, ViewOutlivingItsStateReleasesSafely) {
+  auto d = std::make_unique<PatchDriver>(1);
+  d->publish();
+  ReadView<uint8_t> view(d->state.acquire());
+  d->publish();  // evicts the viewed version; the view keeps it
+  d.reset();
+  EXPECT_TRUE(view.verify_checksum());
+  view = ReadView<uint8_t>();  // deposits, and frees the last mailbox
 }
 
 // Reclamation ordering: a superseded table stays allocated while any

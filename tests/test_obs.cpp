@@ -5,8 +5,12 @@
 // test_obs_disabled_seam.cpp, linked into this binary).
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -371,6 +375,37 @@ TEST(ObsEvents, JsonShape) {
   // The no-shard sentinel is emitted as -1, never as 2^32-1.
   EXPECT_NE(json.find("\"shard_id\": -1"), std::string::npos);
   EXPECT_EQ(json.find(std::to_string(kNoShard)), std::string::npos);
+  rec.clear();
+}
+
+// Failure dumps are numbered, so a second failure with the same reason
+// keeps the first dump, and stop at kMaxFailureDumps files.
+TEST(ObsEvents, FailureDumpsAreNumberedAndCapped) {
+  set_enabled(true);
+  static EventRecorder rec;
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "pargreedy_events_XXXXXX")
+          .string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  ASSERT_EQ(setenv("PARGREEDY_EVENTS_DIR", dir.c_str(), 1), 0);
+  const auto files = [&dir] {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+      names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  EXPECT_TRUE(rec.dump_failure("unit_test"));
+  EXPECT_TRUE(rec.dump_failure("unit_test"));
+  EXPECT_EQ(files(), (std::vector<std::string>{
+                         "EVENTS_failure_unit_test_0.json",
+                         "EVENTS_failure_unit_test_1.json"}));
+  for (uint64_t k = 2; k < EventRecorder::kMaxFailureDumps; ++k)
+    EXPECT_TRUE(rec.dump_failure("unit_test"));
+  EXPECT_FALSE(rec.dump_failure("unit_test"));  // past the cap
+  EXPECT_EQ(files().size(), EventRecorder::kMaxFailureDumps);
+  unsetenv("PARGREEDY_EVENTS_DIR");
+  std::filesystem::remove_all(dir);
   rec.clear();
 }
 
