@@ -1,13 +1,17 @@
 // google-benchmark microbenchmarks for the parallel primitives substrate:
-// scan, pack, reduce, counting sort, and random permutation generation —
-// the building blocks whose constants determine every algorithm's absolute
-// running time.
+// scan, pack, reduce, counting sort, random permutation generation and
+// the weighted priority orders (both built by the radix sorter of
+// parallel/radix_sort.hpp) — the building blocks whose constants determine
+// every algorithm's absolute running time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
+#include "core/priority/priority_source.hpp"
+#include "generators/generators.hpp"
+#include "graph/csr_graph.hpp"
 #include "parallel/counting_sort.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/reduce.hpp"
@@ -80,6 +84,30 @@ void BM_RandomPermutation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_RandomPermutation)->Arg(1 << 14)->Arg(1 << 18)->Arg(1 << 21);
+
+// PrioritySource::edge_order on a random graph of ~2^20 edges: the weighted
+// order every dynamic matching engine builds at construction. Arg 0 is
+// weight_hash_tiebreak over 64 weight levels (the serve workloads'
+// policy: a few classes, hash ties), 1 is edge_weight over continuous
+// weights.
+void BM_WeightedEdgeOrder(benchmark::State& state) {
+  const bool tiebreak = state.range(0) == 0;
+  CsrGraph g = CsrGraph::from_edges(random_graph_nm(1 << 18, 1 << 20, 1));
+  g.set_edge_weights(tiebreak ? quantized_weights(g.num_edges(), 2, 64)
+                              : random_weights(g.num_edges(), 2));
+  const PrioritySource source = tiebreak
+                                    ? PrioritySource::weight_hash_tiebreak(3)
+                                    : PrioritySource::edge_weight();
+  for (auto _ : state) benchmark::DoNotOptimize(source.edge_order(g));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(g.num_edges()));
+  state.SetLabel(tiebreak ? "weight_hash_tiebreak, 64 levels"
+                          : "edge_weight, continuous");
+}
+BENCHMARK(BM_WeightedEdgeOrder)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Hash64Stream(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -8,8 +8,9 @@ namespace pargreedy {
 
 EdgeOrder EdgeOrder::random(uint64_t m, uint64_t seed) {
   EdgeOrder o;
-  o.order_ = random_permutation(m, seed);
-  o.rank_ = invert_permutation(o.order_);
+  o.order_.resize(m);
+  o.rank_.resize(m);
+  random_permutation_and_ranks(seed, o.order_, o.rank_);
   return o;
 }
 
@@ -30,6 +31,17 @@ EdgeOrder EdgeOrder::from_permutation(std::vector<EdgeId> order) {
   EdgeOrder o;
   o.order_ = std::move(order);
   o.rank_ = invert_permutation(o.order_);
+  return o;
+}
+
+EdgeOrder EdgeOrder::from_permutation(std::vector<EdgeId> order,
+                                      std::vector<uint32_t> rank) {
+  PG_CHECK_MSG(is_inverse_permutation(order, rank),
+               "from_permutation requires a permutation of 0..m-1 and "
+               "its inverse");
+  EdgeOrder o;
+  o.order_ = std::move(order);
+  o.rank_ = std::move(rank);
   return o;
 }
 

@@ -23,6 +23,11 @@ class EdgeOrder {
   /// Wraps an explicit permutation of 0..m-1; validated.
   static EdgeOrder from_permutation(std::vector<EdgeId> order);
 
+  /// Wraps a permutation together with its inverse (rank[order[i]] == i),
+  /// as the priority sorter writes them; validated, in parallel.
+  static EdgeOrder from_permutation(std::vector<EdgeId> order,
+                                    std::vector<uint32_t> rank);
+
   [[nodiscard]] uint64_t size() const { return order_.size(); }
 
   /// The i-th edge in priority order.

@@ -20,8 +20,9 @@ bool permutation_is_identity(std::span<const VertexId> order) {
 
 VertexOrder VertexOrder::random(uint64_t n, uint64_t seed) {
   VertexOrder o;
-  o.order_ = random_permutation(n, seed);
-  o.rank_ = invert_permutation(o.order_);
+  o.order_.resize(n);
+  o.rank_.resize(n);
+  random_permutation_and_ranks(seed, o.order_, o.rank_);
   o.identity_ = permutation_is_identity(o.order_);
   return o;
 }
@@ -44,6 +45,18 @@ VertexOrder VertexOrder::from_permutation(std::vector<VertexId> order) {
   VertexOrder o;
   o.order_ = std::move(order);
   o.rank_ = invert_permutation(o.order_);
+  o.identity_ = permutation_is_identity(o.order_);
+  return o;
+}
+
+VertexOrder VertexOrder::from_permutation(std::vector<VertexId> order,
+                                          std::vector<uint32_t> rank) {
+  PG_CHECK_MSG(is_inverse_permutation(order, rank),
+               "from_permutation requires a permutation of 0..n-1 and "
+               "its inverse");
+  VertexOrder o;
+  o.order_ = std::move(order);
+  o.rank_ = std::move(rank);
   o.identity_ = permutation_is_identity(o.order_);
   return o;
 }

@@ -30,6 +30,11 @@ class VertexOrder {
   /// Wraps an explicit permutation; validated.
   static VertexOrder from_permutation(std::vector<VertexId> order);
 
+  /// Wraps a permutation together with its inverse (rank[order[i]] == i),
+  /// as the priority sorter writes them; validated, in parallel.
+  static VertexOrder from_permutation(std::vector<VertexId> order,
+                                      std::vector<uint32_t> rank);
+
   [[nodiscard]] uint64_t size() const { return order_.size(); }
 
   /// The i-th vertex in priority order.

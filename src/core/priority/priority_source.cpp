@@ -1,14 +1,12 @@
 #include "core/priority/priority_source.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
-#include "parallel/arch.hpp"
-#include "parallel/counting_sort.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/radix_sort.hpp"
 #include "random/hash.hpp"
-#include "random/permutation.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
@@ -27,8 +25,19 @@ const char* priority_policy_name(PriorityPolicy policy) {
   return "unknown";
 }
 
+namespace {
+
+/// The key functions' failure path, kept out of line so that they stay
+/// small enough to inline into the sorting passes, which call them a few
+/// times per element.
+[[noreturn]] void reject_key(const char* what) {
+  detail::check_failed("valid priority key", __FILE__, __LINE__, what);
+}
+
+}  // namespace
+
 uint64_t descending_weight_bits(Weight w) {
-  PG_CHECK_MSG(!std::isnan(w), "priority weights must not be NaN");
+  if (std::isnan(w)) reject_key("priority weights must not be NaN");
   if (w == 0.0) w = 0.0;  // collapse -0.0 onto +0.0: equal weights, one key
   // Standard total-order trick: flipping the sign bit of non-negatives and
   // all bits of negatives makes the uint64 image ascend with the double;
@@ -70,8 +79,7 @@ PriorityKey PrioritySource::vertex_key(VertexId v, Weight w) const {
     case PriorityPolicy::kEdgeWeight:
       break;
   }
-  PG_CHECK_MSG(false, "edge_weight policy has no vertex priorities");
-  return {};
+  reject_key("edge_weight policy has no vertex priorities");
 }
 
 PriorityKey PrioritySource::edge_key(const Edge& e, Weight w) const {
@@ -85,88 +93,22 @@ PriorityKey PrioritySource::edge_key(const Edge& e, Weight w) const {
     case PriorityPolicy::kVertexWeight:
       break;
   }
-  PG_CHECK_MSG(false, "vertex_weight policy has no edge priorities");
-  return {};
+  reject_key("vertex_weight policy has no edge priorities");
 }
 
 namespace {
 
-/// Sorts ids 0..count-1 into priority order: by key, remaining ties by id.
-/// Single-word keys (two_words false — the caller knows statically from
-/// has_secondary_word()) go through the parallel sorter; two-word keys
-/// take the comparator path. Either way the result is the unique sequence
-/// of the total order (key, id), independent of worker count.
-std::vector<uint32_t> sort_ids_by_key(
-    uint64_t count, const std::vector<PriorityKey>& keys, bool two_words) {
-  std::vector<uint32_t> ids(count);
-  parallel_for(0, static_cast<int64_t>(count), [&](int64_t i) {
-    ids[static_cast<std::size_t>(i)] = static_cast<uint32_t>(i);
+/// Ids 0..count-1 in (key_of(id), id) order, the order every policy
+/// defines, built with its ranks by the radix sorter in one pass.
+template <typename Order, typename KeyOf>
+Order sorted_order(uint64_t count, const KeyOf& key_of) {
+  std::vector<uint32_t> order(count);
+  std::vector<uint32_t> rank(count);
+  sort_ids_by_key(order, rank, [&](uint32_t id) {
+    const PriorityKey k = key_of(id);
+    return SortKey{k.primary, k.secondary};
   });
-  if (!two_words) {
-    std::vector<uint64_t> primary(count);
-    parallel_for(0, static_cast<int64_t>(count), [&](int64_t i) {
-      primary[static_cast<std::size_t>(i)] =
-          keys[static_cast<std::size_t>(i)].primary;
-    });
-    parallel_sort_by_key(std::span<uint32_t>(ids), primary);
-    return ids;
-  }
-  // Two-word path (weight_hash_tiebreak): same two-pass structure as
-  // parallel_sort_by_key — a stable counting sort into order-aligned
-  // buckets, then an independent full-comparator sort per bucket. Equal
-  // primaries land in one bucket, so the comparator sees every tie; both
-  // passes are deterministic.
-  const auto cmp = [&](uint32_t a, uint32_t b) {
-    return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
-  };
-  if (count < uint64_t{1} << 16 || num_workers() == 1) {
-    std::sort(ids.begin(), ids.end(), cmp);
-    return ids;
-  }
-  // Primaries are weight-derived and typically occupy a narrow numeric
-  // band (one weight class collapses them entirely), so bucketing by a
-  // fixed top-bits shift would pile everything into one bucket. Instead:
-  // a single shared primary falls through to a fully parallel sort by the
-  // secondary word, and otherwise the bucket index is taken from the bits
-  // where the primaries actually differ. With k distinct primaries inside
-  // one bucket span the per-bucket sorts still serialize to ~k-way
-  // parallelism — inherent to order-aligned bucketing; fine for the
-  // continuous-weight case this path is sized for.
-  uint64_t min_primary = keys[ids[0]].primary;
-  uint64_t max_primary = min_primary;
-  for (const PriorityKey& k : keys) {
-    min_primary = std::min(min_primary, k.primary);
-    max_primary = std::max(max_primary, k.primary);
-  }
-  if (min_primary == max_primary) {
-    std::vector<uint64_t> secondary(count);
-    parallel_for(0, static_cast<int64_t>(count), [&](int64_t i) {
-      secondary[static_cast<std::size_t>(i)] =
-          keys[static_cast<std::size_t>(i)].secondary;
-    });
-    parallel_sort_by_key(std::span<uint32_t>(ids), secondary);
-    return ids;
-  }
-  constexpr int64_t kBuckets = 1024;
-  const int spread = std::bit_width(max_primary - min_primary);
-  const int shift = spread > 10 ? spread - 10 : 0;
-  std::vector<uint32_t> scratch(count);
-  const std::vector<int64_t> offsets = counting_sort<uint32_t>(
-      std::span<const uint32_t>(ids.data(), ids.size()),
-      std::span<uint32_t>(scratch), kBuckets, [&](uint32_t v) {
-        return static_cast<int64_t>((keys[v].primary - min_primary) >>
-                                    shift);
-      });
-  ids.swap(scratch);
-  parallel_for(
-      0, kBuckets,
-      [&](int64_t b) {
-        std::sort(ids.begin() + offsets[static_cast<std::size_t>(b)],
-                  ids.begin() + offsets[static_cast<std::size_t>(b) + 1],
-                  cmp);
-      },
-      /*grain=*/1);
-  return ids;
+  return Order::from_permutation(std::move(order), std::move(rank));
 }
 
 }  // namespace
@@ -183,29 +125,22 @@ VertexOrder PrioritySource::vertex_order(
     return VertexOrder::random(n, seed_);
   PG_CHECK_MSG(weights.empty() || weights.size() == n,
                "weight array size != vertex count");
-  std::vector<PriorityKey> keys(n);
-  parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
-    keys[static_cast<std::size_t>(v)] = vertex_key(
-        static_cast<VertexId>(v),
-        weights.empty() ? kDefaultWeight
-                        : weights[static_cast<std::size_t>(v)]);
+  // Checked here, not by the first key inside a parallel sorting pass.
+  PG_CHECK_MSG(policy_ != PriorityPolicy::kEdgeWeight,
+               "edge_weight policy has no vertex priorities");
+  return sorted_order<VertexOrder>(n, [&](uint32_t v) {
+    return vertex_key(v, weights.empty() ? kDefaultWeight : weights[v]);
   });
-  return VertexOrder::from_permutation(
-      sort_ids_by_key(n, keys, has_secondary_word()));
 }
 
 EdgeOrder PrioritySource::edge_order(const CsrGraph& g) const {
-  const uint64_t m = g.num_edges();
-  std::vector<PriorityKey> keys(m);
-  parallel_for(0, static_cast<int64_t>(m), [&](int64_t e) {
-    keys[static_cast<std::size_t>(e)] =
-        edge_key(g.edge(static_cast<EdgeId>(e)),
-                 g.edge_weight(static_cast<EdgeId>(e)));
-  });
+  PG_CHECK_MSG(policy_ != PriorityPolicy::kVertexWeight,
+               "vertex_weight policy has no edge priorities");
   // CSR edge ids ascend with the canonical (u, v) key, so the sorter's id
   // tie-break is exactly the engines' edge-key tie-break.
-  return EdgeOrder::from_permutation(
-      sort_ids_by_key(m, keys, has_secondary_word()));
+  return sorted_order<EdgeOrder>(g.num_edges(), [&](uint32_t e) {
+    return edge_key(g.edge(e), g.edge_weight(e));
+  });
 }
 
 std::vector<Weight> random_weights(uint64_t count, uint64_t seed, Weight lo,

@@ -211,6 +211,9 @@ inline constexpr char kPublishedChangedEntries[] =
 // Labeled {path="replayed"|"copied"|"fresh"}: how publish() got the
 // buffer of each new version (txn/published_state.hpp).
 inline constexpr char kPublishedBuffer[] = "published.buffer";
+// Retired tables still held after each publish()'s final reclaim: grows
+// while a reader stays pinned, and each one can keep an evicted version.
+inline constexpr char kPublishedRetired[] = "published.retired";
 // Paper-grounded health: observed repropagation depth vs the Θ(log n)
 // theoretical round bound, in permille (1000 = ceil(log2 n) rounds). The
 // gauge holds the last non-trivial batch; the histogram the distribution.

@@ -1,8 +1,8 @@
 // Parallel stable counting sort by small integer keys.
 //
-// Used by the CSR builder (bucket edges by endpoint) and by the maximal-
-// matching rootset algorithm's per-vertex incident-edge ordering (Lemma 5.3
-// sorts incident edges by priority with a bucket sort, citing CLRS [8]).
+// Used by the CSR builder (bucket edges by endpoint), by EdgeList
+// normalization, and by the radix sorter behind every priority order
+// (radix_sort.hpp), whose split passes scatter ids by one key digit.
 #pragma once
 
 #include <cstdint>
@@ -14,24 +14,28 @@
 
 namespace pargreedy {
 
-/// Stable-sorts `in` into `out` by key(in[i]) in [0, num_buckets).
-/// Returns the bucket boundaries: offsets[b] is the first index of bucket b
-/// in `out`, with offsets[num_buckets] == in.size().
+/// Stable-sorts the sequence at(0), ..., at(n - 1), n = out.size(), into
+/// `out` by key(at(i)) in [0, num_buckets). The input is read through
+/// `at` and never stored, so it may be computed (the radix sorter's first
+/// pass scatters the ids 0..n-1 this way). Returns the bucket boundaries:
+/// offsets[b] is the first index of bucket b in `out`, with
+/// offsets[num_buckets] == n. at(i) and key are each evaluated twice per
+/// element and must return the same values both times.
 ///
 /// Parallel over blocks of the input with per-block histograms; the scatter
 /// order within a bucket follows (block, position) order, which preserves
 /// input order — i.e. the sort is stable.
-template <typename T, typename Key>
-std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
-                                   int64_t num_buckets, Key&& key) {
-  const int64_t n = static_cast<int64_t>(in.size());
-  PG_CHECK(static_cast<int64_t>(out.size()) == n);
+template <typename T, typename At, typename Key>
+std::vector<int64_t> counting_sort_indexed(std::span<T> out,
+                                           int64_t num_buckets, At&& at,
+                                           Key&& key) {
+  const int64_t n = static_cast<int64_t>(out.size());
   PG_CHECK(num_buckets >= 1);
 
   if (n < 4 * kDefaultGrain || num_workers() == 1 || in_parallel()) {
     std::vector<int64_t> count(static_cast<std::size_t>(num_buckets + 1), 0);
     for (int64_t i = 0; i < n; ++i) {
-      const int64_t b = key(in[static_cast<std::size_t>(i)]);
+      const int64_t b = key(at(i));
       PG_DCHECK(b >= 0 && b < num_buckets);
       ++count[static_cast<std::size_t>(b) + 1];
     }
@@ -40,9 +44,9 @@ std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
           count[static_cast<std::size_t>(b)];
     std::vector<int64_t> cursor(count.begin(), count.end() - 1);
     for (int64_t i = 0; i < n; ++i) {
-      const int64_t b = key(in[static_cast<std::size_t>(i)]);
-      out[static_cast<std::size_t>(cursor[static_cast<std::size_t>(b)]++)] =
-          in[static_cast<std::size_t>(i)];
+      decltype(auto) v = at(i);
+      out[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(key(v))]++)] = v;
     }
     return count;
   }
@@ -54,7 +58,7 @@ std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
   parallel_blocks(n, [&](int64_t b, int64_t lo, int64_t hi) {
     int64_t* h = hist.data() + b * num_buckets;
     for (int64_t i = lo; i < hi; ++i) {
-      const int64_t k = key(in[static_cast<std::size_t>(i)]);
+      const int64_t k = key(at(i));
       PG_DCHECK(k >= 0 && k < num_buckets);
       ++h[k];
     }
@@ -77,12 +81,24 @@ std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
   parallel_blocks(n, [&](int64_t b, int64_t lo, int64_t hi) {
     int64_t* cursor = hist.data() + b * num_buckets;
     for (int64_t i = lo; i < hi; ++i) {
-      const int64_t k = key(in[static_cast<std::size_t>(i)]);
-      out[static_cast<std::size_t>(cursor[k]++)] =
-          in[static_cast<std::size_t>(i)];
+      decltype(auto) v = at(i);
+      out[static_cast<std::size_t>(cursor[key(v)]++)] = v;
     }
   });
   return offsets;
+}
+
+/// Stable-sorts `in` into `out` by key(in[i]) in [0, num_buckets).
+/// Returns the bucket boundaries: offsets[b] is the first index of bucket b
+/// in `out`, with offsets[num_buckets] == in.size().
+template <typename T, typename Key>
+std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
+                                   int64_t num_buckets, Key&& key) {
+  PG_CHECK(out.size() == in.size());
+  return counting_sort_indexed(
+      out, num_buckets,
+      [&](int64_t i) -> const T& { return in[static_cast<std::size_t>(i)]; },
+      key);
 }
 
 }  // namespace pargreedy

@@ -1,10 +1,8 @@
 #include "random/permutation.hpp"
 
-#include <algorithm>
-#include <cstring>
-
-#include "parallel/counting_sort.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/radix_sort.hpp"
+#include "parallel/reduce.hpp"
 #include "random/hash.hpp"
 #include "support/check.hpp"
 
@@ -12,54 +10,24 @@ namespace pargreedy {
 
 namespace {
 
-/// Number of top-bit buckets used by the two-pass parallel sort.
-constexpr int64_t kSortBuckets = 1024;
-constexpr int kBucketShift = 54;  // 64 - log2(kSortBuckets)
+/// Sort key of element i: its counter-based (seed, i) hash.
+auto hash_key(uint64_t seed) {
+  return [seed](uint32_t i) { return SortKey{hash64(seed, i), 0}; };
+}
 
 }  // namespace
 
-void parallel_sort_by_key(std::span<uint32_t> items,
-                          const std::vector<uint64_t>& keys) {
-  const int64_t n = static_cast<int64_t>(items.size());
-  auto cmp = [&](uint32_t a, uint32_t b) {
-    // Tie-break on the item id so the order is a total function of the keys.
-    return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
-  };
-  if (n < 1 << 16 || num_workers() == 1) {
-    std::sort(items.begin(), items.end(), cmp);
-    return;
-  }
-  // Pass 1: stable counting sort into kSortBuckets buckets by the key's top
-  // bits. Pass 2: std::sort each bucket independently in parallel. Both
-  // passes are deterministic, so the result is too.
-  std::vector<uint32_t> scratch(items.size());
-  const std::vector<int64_t> offsets = counting_sort<uint32_t>(
-      std::span<const uint32_t>(items.data(), items.size()),
-      std::span<uint32_t>(scratch), kSortBuckets,
-      [&](uint32_t v) { return static_cast<int64_t>(keys[v] >> kBucketShift); });
-  std::memcpy(items.data(), scratch.data(), items.size() * sizeof(uint32_t));
-  parallel_for(
-      0, kSortBuckets,
-      [&](int64_t b) {
-        std::sort(items.begin() + offsets[static_cast<std::size_t>(b)],
-                  items.begin() + offsets[static_cast<std::size_t>(b) + 1],
-                  cmp);
-      },
-      /*grain=*/1);
-}
-
 std::vector<uint32_t> random_permutation(uint64_t n, uint64_t seed) {
   std::vector<uint32_t> perm(n);
-  parallel_for(0, static_cast<int64_t>(n),
-               [&](int64_t i) { perm[static_cast<std::size_t>(i)] =
-                                    static_cast<uint32_t>(i); });
-  std::vector<uint64_t> keys(n);
-  parallel_for(0, static_cast<int64_t>(n), [&](int64_t i) {
-    keys[static_cast<std::size_t>(i)] =
-        hash64(seed, static_cast<uint64_t>(i));
-  });
-  parallel_sort_by_key(std::span<uint32_t>(perm), keys);
+  sort_ids_by_key(perm, {}, hash_key(seed));
   return perm;
+}
+
+void random_permutation_and_ranks(uint64_t seed, std::span<uint32_t> perm,
+                                  std::span<uint32_t> rank) {
+  PG_CHECK_MSG(rank.size() == perm.size(),
+               "rank must be as long as the permutation");
+  sort_ids_by_key(perm, rank, hash_key(seed));
 }
 
 std::vector<uint32_t> fisher_yates_permutation(uint64_t n, Xoshiro256& rng) {
@@ -88,6 +56,17 @@ bool is_valid_permutation(std::span<const uint32_t> perm) {
     seen[v] = 1;
   }
   return true;
+}
+
+bool is_inverse_permutation(std::span<const uint32_t> perm,
+                            std::span<const uint32_t> rank) {
+  const std::size_t n = perm.size();
+  if (rank.size() != n) return false;
+  // Injective on [0, n) because rank undoes it, hence a permutation.
+  return count_if(0, static_cast<int64_t>(n), [&](int64_t i) {
+           const uint32_t v = perm[static_cast<std::size_t>(i)];
+           return v >= n || rank[v] != static_cast<uint32_t>(i);
+         }) == 0;
 }
 
 }  // namespace pargreedy

@@ -4,9 +4,9 @@
 //
 // random_permutation() is deterministic in (n, seed) and independent of the
 // worker count: every element gets a 64-bit counter-based hash key and the
-// elements are sorted by (key, index). This is how a fixed pi is shared
-// between the sequential and parallel algorithms so they return identical
-// results.
+// elements are sorted by (key, index) with the radix sorter of
+// parallel/radix_sort.hpp. This is how a fixed pi is shared between the
+// sequential and parallel algorithms so they return identical results.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,12 @@ namespace pargreedy {
 /// Uniformly random permutation of [0, n), deterministic in (n, seed).
 std::vector<uint32_t> random_permutation(uint64_t n, uint64_t seed);
 
+/// Writes random_permutation(perm.size(), seed) into `perm` and, in the
+/// same sorting pass, its inverse into `rank` (rank[perm[i]] == i; the
+/// spans have equal length).
+void random_permutation_and_ranks(uint64_t seed, std::span<uint32_t> perm,
+                                  std::span<uint32_t> rank);
+
 /// Sequential Fisher–Yates shuffle of [0, n) driven by `rng`. Reference
 /// implementation used to cross-check random_permutation's uniformity.
 std::vector<uint32_t> fisher_yates_permutation(uint64_t n, Xoshiro256& rng);
@@ -30,10 +36,10 @@ std::vector<uint32_t> invert_permutation(std::span<const uint32_t> perm);
 /// True iff `perm` is a permutation of 0..n-1.
 bool is_valid_permutation(std::span<const uint32_t> perm);
 
-/// Sorts `items` in parallel by a uint64 key with index tie-breaking:
-/// stable result determined only by the key function. Used internally by
-/// random_permutation and exposed for the generators.
-void parallel_sort_by_key(std::span<uint32_t> items,
-                          const std::vector<uint64_t>& keys);
+/// True iff `rank` has perm's length, every perm[i] is below it, and
+/// rank[perm[i]] == i for every i — which makes `perm` a permutation of
+/// 0..n-1 and `rank` its inverse. Parallel, linear work.
+bool is_inverse_permutation(std::span<const uint32_t> perm,
+                            std::span<const uint32_t> rank);
 
 }  // namespace pargreedy

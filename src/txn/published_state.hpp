@@ -265,6 +265,7 @@ class PublishedState {
     retired_.emplace_back(retire_epoch, std::unique_ptr<const Table>(prev));
     lists_[version % retention_] = std::move(changes);
     reclaim();
+    PG_OBS_HIST(obs::kPublishedRetired, retired_.size());
   }
 
   /// Frees retired tables whose retire epoch is below every pinned

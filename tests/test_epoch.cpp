@@ -504,6 +504,36 @@ TEST(PublishedStateTest, PinnedTablesAreNotReclaimed) {
   }
 }
 
+// A reader that stays pinned holds every table retired meanwhile, each
+// able to keep an evicted version alive. The published.retired histogram
+// shows that backlog, and the first publish after the reader unpins
+// frees all of it.
+TEST(PublishedStateTest, PinnedReaderBacklogIsObservable) {
+#if PARGREEDY_OBS
+  obs::set_enabled(true);
+#endif
+  constexpr uint64_t kPublishes = 6;
+  PublishedState<uint8_t> state(2, 0, bits({0, 0}));
+  auto guard = std::make_unique<ReadGuard>(state.epochs_);
+  {
+    support::RoleScope writer(state.writer_role_);
+    for (uint64_t v = 1; v <= kPublishes; ++v)
+      state.publish(v, v, Changes{{0, static_cast<uint8_t>(v & 1)}});
+    EXPECT_GE(state.retired_count(), kPublishes);
+  }
+#if PARGREEDY_OBS
+  EXPECT_GE(obs::MetricsRegistry::global()
+                .histogram(obs::kPublishedRetired)
+                .summary()
+                .max,
+            kPublishes);
+#endif
+  guard.reset();
+  support::RoleScope writer(state.writer_role_);
+  state.publish(kPublishes + 1, kPublishes + 1, Changes{{1, 1}});
+  EXPECT_EQ(state.retired_count(), 0u);
+}
+
 // A later pin (taken after the publishes) does not protect earlier
 // retirees: reclamation frees exactly the prefix below the oldest pin.
 TEST(PublishedStateTest, ReclaimFreesPrefixBelowOldestPin) {

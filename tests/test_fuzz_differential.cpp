@@ -19,6 +19,7 @@
 #include "parallel/arch.hpp"
 #include "parallel/counting_sort.hpp"
 #include "parallel/pack.hpp"
+#include "parallel/radix_sort.hpp"
 #include "parallel/scan.hpp"
 #include "random/hash.hpp"
 #include "random/permutation.hpp"
@@ -102,17 +103,20 @@ TEST_P(Fuzz, CountingSortMatchesStdStableSort) {
 TEST_P(Fuzz, PermutationSortAgreesWithStdSort) {
   ScopedNumWorkers guard(1 + seed() % 5);
   const uint64_t n = static_cast<uint64_t>(fuzz_size(5));
-  std::vector<uint32_t> items(n);
-  std::iota(items.begin(), items.end(), 0);
   std::vector<uint64_t> keys(n);
   for (uint64_t i = 0; i < n; ++i)
     keys[i] = hash64(seed() + 3, i) % 97;  // heavy ties
-  std::vector<uint32_t> expect = items;
+  std::vector<uint32_t> expect(n);
+  std::iota(expect.begin(), expect.end(), 0);
   std::sort(expect.begin(), expect.end(), [&](uint32_t a, uint32_t b) {
     return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
   });
-  parallel_sort_by_key(std::span<uint32_t>(items), keys);
+  std::vector<uint32_t> items(n);
+  std::vector<uint32_t> rank(n);
+  sort_ids_by_key(std::span<uint32_t>(items), std::span<uint32_t>(rank),
+                  [&](uint32_t i) { return SortKey{keys[i], 0}; });
   EXPECT_EQ(items, expect);
+  EXPECT_EQ(rank, invert_permutation(expect));
 }
 
 TEST_P(Fuzz, RandomMultigraphNormalizesToSimpleGraph) {

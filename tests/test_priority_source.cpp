@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/matching/matching.hpp"
@@ -204,6 +206,134 @@ TEST(PrioritySource, ExplicitOrderEngineReportsNoSource) {
   EXPECT_THROW(static_cast<void>(from_order.priority_source()),
                CheckFailure);
 }
+
+// ---- Orders at parallel sizes ---------------------------------------
+//
+// Every order is built by sort_ids_by_key (parallel/radix_sort.hpp). Its
+// parallel split passes and bucket loop only run above one record buffer
+// (2^15 ids), so these cases use 2^17-2^18 elements, at 1, 2 and 4
+// workers, over the key shapes the policies produce: uniform hashes, a
+// few weight classes split by hashes, one class, continuous weights, and
+// heavy ties broken by id alone. With 4 levels a class outgrows a 4-worker
+// share and takes the sorter's parallel re-split; at 1 worker it is split
+// again inside the bucket loop.
+
+struct OrderShape {
+  const char* name;
+  bool tiebreak;    // weight_hash_tiebreak, else vertex_/edge_weight
+  uint64_t levels;  // quantized weight levels; 0 = continuous weights
+};
+
+// Shape 0 is random_hash; the others index kOrderShapes[shape - 1].
+constexpr OrderShape kOrderShapes[] = {
+    {"tiebreak_64_levels", true, 64},
+    {"tiebreak_4_levels", true, 4},
+    {"tiebreak_1_level", true, 1},
+    {"tiebreak_continuous", true, 0},
+    {"weight_5_levels", false, 5},
+    {"weight_continuous", false, 0},
+};
+constexpr int kNumOrderShapes =
+    1 + static_cast<int>(sizeof kOrderShapes / sizeof kOrderShapes[0]);
+
+std::vector<Weight> shape_weights(uint64_t count, uint64_t levels,
+                                  uint64_t seed) {
+  return levels == 0 ? random_weights(count, seed)
+                     : quantized_weights(count, seed, levels);
+}
+
+// Ids 0..count-1 sorted by (key(id), id) with std::sort: the reference.
+template <typename KeyOf>
+std::vector<uint32_t> reference_order(uint64_t count, const KeyOf& key_of) {
+  std::vector<PriorityKey> keys(count);
+  for (uint32_t i = 0; i < count; ++i) keys[i] = key_of(i);
+  std::vector<uint32_t> ids(count);
+  for (uint32_t i = 0; i < count; ++i) ids[i] = i;
+  std::sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
+    return keys[a] == keys[b] ? a < b : keys[a] < keys[b];
+  });
+  return ids;
+}
+
+template <typename Order>
+void expect_order(const Order& got, const std::vector<uint32_t>& expect) {
+  ASSERT_EQ(std::vector<uint32_t>(got.order().begin(), got.order().end()),
+            expect);
+  ASSERT_EQ(got.ranks().size(), expect.size());
+  for (uint32_t i = 0; i < expect.size(); ++i)
+    ASSERT_EQ(got.ranks()[expect[i]], i) << "rank of " << expect[i];
+}
+
+class OrderAtScale
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  int shape() const { return std::get<0>(GetParam()); }
+  int workers() const { return std::get<1>(GetParam()); }
+};
+
+TEST_P(OrderAtScale, VertexOrderMatchesStdSort) {
+  ScopedNumWorkers guard(workers());
+  const uint64_t n = (uint64_t{1} << 17) + 5;
+  PrioritySource src = PrioritySource::random_hash(61);
+  std::vector<Weight> w;
+  if (shape() > 0) {
+    const OrderShape& s = kOrderShapes[shape() - 1];
+    src = s.tiebreak ? PrioritySource::weight_hash_tiebreak(61)
+                     : PrioritySource::vertex_weight();
+    w = shape_weights(n, s.levels, 67);
+  }
+  const VertexOrder got = src.vertex_order(n, w);
+  expect_order(got, reference_order(n, [&](uint32_t v) {
+                 return src.vertex_key(v, w.empty() ? kDefaultWeight : w[v]);
+               }));
+}
+
+TEST_P(OrderAtScale, EdgeOrderMatchesStdSort) {
+  ScopedNumWorkers guard(workers());
+  CsrGraph g = CsrGraph::from_edges(
+      random_graph_nm(uint64_t{1} << 16, (uint64_t{1} << 18) + 100, 71));
+  ASSERT_GT(g.num_edges(), uint64_t{1} << 17);
+  PrioritySource src = PrioritySource::random_hash(73);
+  if (shape() > 0) {
+    const OrderShape& s = kOrderShapes[shape() - 1];
+    src = s.tiebreak ? PrioritySource::weight_hash_tiebreak(73)
+                     : PrioritySource::edge_weight();
+    g.set_edge_weights(shape_weights(g.num_edges(), s.levels, 79));
+  }
+  const EdgeOrder got = src.edge_order(g);
+  expect_order(got, reference_order(g.num_edges(), [&](uint32_t e) {
+                 return src.edge_key(g.edge(e), g.edge_weight(e));
+               }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, OrderAtScale,
+    ::testing::Combine(::testing::Range(0, kNumOrderShapes),
+                       ::testing::Values(1, 2, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      const int shape = std::get<0>(info.param);
+      return std::string(shape == 0 ? "random_hash"
+                                    : kOrderShapes[shape - 1].name) +
+             "_w" + std::to_string(std::get<1>(info.param));
+    });
+
+// VertexOrder::random and EdgeOrder::random at the same sizes, against
+// the hash-key reference: ids by (hash64(seed, id), id).
+class RandomOrderAtScale : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomOrderAtScale, MatchesHashKeySort) {
+  ScopedNumWorkers guard(GetParam());
+  const auto hash_key = [](uint64_t seed) {
+    return [seed](uint32_t i) { return PriorityKey{hash64(seed, i), 0}; };
+  };
+  const uint64_t n = (uint64_t{1} << 17) + 3;
+  const uint64_t m = (uint64_t{1} << 18) - 7;
+  expect_order(VertexOrder::random(n, 83), reference_order(n, hash_key(83)));
+  expect_order(EdgeOrder::random(m, 89), reference_order(m, hash_key(89)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, RandomOrderAtScale,
+                         ::testing::Values(1, 2, 4));
 
 TEST(WeightHelpers, RandomWeightsAreDeterministicAndInRange) {
   const std::vector<Weight> a = random_weights(1'000, 7, 2.0, 5.0);

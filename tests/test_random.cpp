@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "parallel/arch.hpp"
+#include "parallel/radix_sort.hpp"
 #include "random/hash.hpp"
 #include "random/permutation.hpp"
 #include "random/xoshiro.hpp"
@@ -230,19 +231,24 @@ TEST(Permutation, ValidationRejectsBadInputs) {
   EXPECT_TRUE(is_valid_permutation(std::vector<uint32_t>{2, 0, 1}));
 }
 
+// sort_ids_by_key (parallel/radix_sort.hpp), the sorter behind every
+// priority order, against std::sort on a single-word key with ties.
 TEST(Permutation, ParallelSortByKeyMatchesStdSort) {
   ScopedNumWorkers guard(4);
   const uint64_t n = 200'000;  // above the parallel-sort threshold
-  std::vector<uint32_t> items(n);
-  for (uint32_t i = 0; i < n; ++i) items[i] = i;
   std::vector<uint64_t> keys(n);
   for (uint64_t i = 0; i < n; ++i) keys[i] = hash64(31, i) % 1'000;  // ties
-  std::vector<uint32_t> expect = items;
+  std::vector<uint32_t> expect(n);
+  for (uint32_t i = 0; i < n; ++i) expect[i] = i;
   std::sort(expect.begin(), expect.end(), [&](uint32_t a, uint32_t b) {
     return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
   });
-  parallel_sort_by_key(std::span<uint32_t>(items), keys);
+  std::vector<uint32_t> items(n);
+  std::vector<uint32_t> rank(n);
+  sort_ids_by_key(std::span<uint32_t>(items), std::span<uint32_t>(rank),
+                  [&](uint32_t i) { return SortKey{keys[i], 0}; });
   EXPECT_EQ(items, expect);
+  EXPECT_EQ(rank, invert_permutation(expect));
 }
 
 }  // namespace

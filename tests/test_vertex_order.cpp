@@ -77,6 +77,25 @@ TEST(VertexOrder, FromPermutationValidates) {
   EXPECT_THROW(VertexOrder::from_permutation({0, 3, 1}), CheckFailure);
 }
 
+// The (order, rank) factories take the sorter's output as it is and
+// check both halves: a permutation, and a rank that is its inverse.
+TEST(VertexOrder, FromPermutationWithRanksValidatesBoth) {
+  const VertexOrder order = VertexOrder::from_permutation({2, 0, 1}, {1, 2, 0});
+  EXPECT_EQ(order.rank(2), 0u);
+  EXPECT_EQ(order.nth(2), 1u);
+  EXPECT_THROW(VertexOrder::from_permutation({2, 0, 1}, {2, 0, 1}),
+               CheckFailure);  // rank
+  EXPECT_THROW(VertexOrder::from_permutation({0, 0, 1}, {0, 2, 0}),
+               CheckFailure);  // dup
+  EXPECT_THROW(VertexOrder::from_permutation({0, 3, 1}, {0, 2, 1}),
+               CheckFailure);  // range
+  EXPECT_THROW(VertexOrder::from_permutation({1, 0}, {1, 0, 2}),
+               CheckFailure);  // size
+  EXPECT_NO_THROW(EdgeOrder::from_permutation({1, 0}, {1, 0}));
+  EXPECT_THROW(EdgeOrder::from_permutation({1, 0}, {0, 1}), CheckFailure);
+  EXPECT_NO_THROW(VertexOrder::from_permutation({}, {}));
+}
+
 TEST(VertexOrder, FromPermutationRoundTrips) {
   const std::vector<VertexId> perm{3, 1, 4, 0, 2};
   const VertexOrder order = VertexOrder::from_permutation(perm);
