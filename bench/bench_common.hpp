@@ -104,52 +104,32 @@ inline std::string json_dir() {
   return env_string("PARGREEDY_JSON_DIR", "");
 }
 
-/// Directory for Chrome-trace capture, or "" when disabled. Setting
-/// PARGREEDY_TRACE_DIR also auto-activates the tracer (obs/trace.hpp),
-/// so the standard bench invocation needs no code changes to produce
-/// TRACE_<bench>.json next to BENCH_<bench>.json.
-inline std::string trace_dir() {
-  return env_string("PARGREEDY_TRACE_DIR", "");
-}
-
-/// Rewrites <dir>/TRACE_<bench>.json with everything traced so far (same
-/// temp-then-rename discipline as the BENCH capture). No-op unless
-/// PARGREEDY_TRACE_DIR is set and the obs layer is compiled in.
-inline void emit_trace(const std::string& bench) {
+/// Rewrites <dir>/<prefix>_<bench>.json with the flight recorder's current
+/// contents, where <dir> is the value of the environment variable
+/// `dir_var` (same temp-then-rename discipline as the BENCH capture).
+/// No-op unless that variable is set and the obs layer is compiled in.
+///
+/// Two variables select a capture of the same recording:
+/// PARGREEDY_TRACE_DIR (TRACE_<bench>.json) also arms span recording
+/// (obs/events.hpp), so the standard bench invocation needs no code
+/// changes to record spans; PARGREEDY_EVENTS_DIR (EVENTS_<bench>.json)
+/// leaves spans unarmed and also arms the obs layer's failure-path dumps,
+/// so one env var buys both the on-crash EVENTS_failure_*.json and the
+/// end-of-bench recording.
+inline void emit_recording(const std::string& bench, const char* dir_var,
+                           const char* prefix) {
 #if PARGREEDY_OBS
-  const std::string dir = trace_dir();
+  const std::string dir = env_string(dir_var, "");
   if (dir.empty()) return;
-  const std::string path = dir + "/TRACE_" + bench + ".json";
-  if (!obs::Tracer::global().write_file(path))
-    std::cerr << "pargreedy: cannot write TRACE_" << bench << ".json under "
-              << dir << "\n";
+  const std::string file = std::string(prefix) + "_" + bench + ".json";
+  if (!obs::EventRecorder::global().write_file(dir + "/" + file,
+                                               "bench_capture"))
+    std::cerr << "pargreedy: cannot write " << file << " under " << dir
+              << "\n";
 #else
   (void)bench;
-#endif
-}
-
-/// Directory for flight-recorder event capture, or "" when disabled.
-/// Setting PARGREEDY_EVENTS_DIR also arms the failure-path dumps in the
-/// obs layer (obs/events.hpp), so one env var buys both the on-crash
-/// EVENTS_failure_*.json and the end-of-bench EVENTS_<bench>.json.
-inline std::string events_dir() {
-  return env_string("PARGREEDY_EVENTS_DIR", "");
-}
-
-/// Rewrites <dir>/EVENTS_<bench>.json with the flight recorder's current
-/// contents (same temp-then-rename discipline as the BENCH capture).
-/// No-op unless PARGREEDY_EVENTS_DIR is set and the obs layer is
-/// compiled in.
-inline void emit_events(const std::string& bench) {
-#if PARGREEDY_OBS
-  const std::string dir = events_dir();
-  if (dir.empty()) return;
-  const std::string path = dir + "/EVENTS_" + bench + ".json";
-  if (!obs::EventRecorder::global().write_file(path, "bench_capture"))
-    std::cerr << "pargreedy: cannot write EVENTS_" << bench << ".json under "
-              << dir << "\n";
-#else
-  (void)bench;
+  (void)dir_var;
+  (void)prefix;
 #endif
 }
 
@@ -162,8 +142,9 @@ inline void emit_events(const std::string& bench) {
 inline void emit(const std::string& bench, const std::string& series,
                  const Table& table) {
   table.print(std::cout, csv_output());
-  emit_trace(bench);   // independent of the JSON capture knob
-  emit_events(bench);  // likewise
+  // Independent of the JSON capture knob.
+  emit_recording(bench, "PARGREEDY_TRACE_DIR", "TRACE");
+  emit_recording(bench, "PARGREEDY_EVENTS_DIR", "EVENTS");
   const std::string dir = json_dir();
   if (dir.empty()) return;
   static std::map<std::string, std::vector<std::pair<std::string, Table>>>
@@ -198,7 +179,6 @@ inline void emit(const std::string& bench, const std::string& series,
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     std::cerr << "pargreedy: cannot move " << tmp << " into place\n";
-  emit_trace(bench);
 }
 
 }  // namespace pargreedy::bench

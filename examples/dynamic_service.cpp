@@ -35,9 +35,11 @@
 //             JSON, engine.* /repro.* /txn.* /reader.* counters and
 //             histograms — then a final human-readable catalog.
 //
-// `--trace-out <file>` (any command) activates the scoped-span tracer and
-// writes a Chrome trace_event JSON on exit — open it in chrome://tracing
-// or https://ui.perfetto.dev (docs/OBSERVABILITY.md walks through it).
+// `--trace-out <file>` (any command) arms span recording and writes the
+// flight recorder as Chrome trace_event JSON on exit — open it in
+// chrome://tracing or https://ui.perfetto.dev (docs/OBSERVABILITY.md walks
+// through it). `--events-out <file>` writes the same format without
+// arming spans.
 //
 // Build & run:  ./examples/dynamic_service [command] [n [m [seed]]]
 #include <atomic>
@@ -476,7 +478,7 @@ int cmd_stats() {
 
   std::cout << "\nflight recorder: "
             << obs::EventRecorder::global().event_count()
-            << " events retained, "
+            << " records retained, "
             << obs::EventRecorder::global().overwritten()
             << " overwritten\n";
 
@@ -531,17 +533,19 @@ int main(int argc, char** argv) {
            "            final human-readable metric catalog\n"
            "\n"
            "options:\n"
-           "  --trace-out <file>   record scoped spans and write a Chrome\n"
-           "                       trace_event JSON on exit (open in\n"
-           "                       chrome://tracing or ui.perfetto.dev)\n"
+           "  --trace-out <file>   record scoped spans too, and write the\n"
+           "                       flight recorder as Chrome trace_event\n"
+           "                       JSON on exit (open in chrome://tracing\n"
+           "                       or ui.perfetto.dev)\n"
            "  --prom-out <file>    write the metrics registry snapshot in\n"
            "                       Prometheus text exposition format on\n"
            "                       exit (per-shard/per-policy labeled\n"
            "                       series included)\n"
-           "  --events-out <file>  write the flight recorder's retained\n"
-           "                       events (the last ~64k structured\n"
-           "                       records with batch/txn/shard\n"
-           "                       correlation ids) as JSON on exit\n"
+           "  --events-out <file>  write the flight recorder (each\n"
+           "                       thread's last 8192 records, with\n"
+           "                       batch/txn/shard correlation ids) in\n"
+           "                       the same format on exit, without\n"
+           "                       recording spans\n"
            "\n"
            "arguments:\n"
            "  n     vertex count of the random base graph (default 50000)\n"
@@ -570,7 +574,7 @@ int main(int argc, char** argv) {
     args.push_back(argv[i]);
   }
 #if PARGREEDY_OBS
-  if (!trace_out.empty() && !pargreedy::obs::Tracer::global().start())
+  if (!trace_out.empty() && !pargreedy::obs::arm_spans())
     std::cerr << "dynamic_service: --trace-out ignored — the obs runtime "
                  "switch is off (PARGREEDY_OBS=0 in the environment)\n";
 #else
@@ -614,15 +618,17 @@ int main(int argc, char** argv) {
                  "readers, shards, or stats); see --help\n";
 
 #if PARGREEDY_OBS
-  if (!trace_out.empty() && pargreedy::obs::Tracer::global().active()) {
-    if (pargreedy::obs::Tracer::global().write_file(trace_out))
-      std::cout << "trace written to " << trace_out << " ("
-                << pargreedy::obs::Tracer::global().event_count()
-                << " events)\n";
+  const auto write_recording = [](const std::string& path, const char* what) {
+    auto& recorder = pargreedy::obs::EventRecorder::global();
+    if (recorder.write_file(path))
+      std::cout << what << " written to " << path << " ("
+                << recorder.event_count() << " records)\n";
     else
-      std::cerr << "dynamic_service: failed to write trace to " << trace_out
-                << "\n";
-  }
+      std::cerr << "dynamic_service: failed to write " << what << " to "
+                << path << "\n";
+  };
+  if (!trace_out.empty() && pargreedy::obs::spans_armed())
+    write_recording(trace_out, "trace");
   if (!prom_out.empty()) {
     if (pargreedy::obs::write_prometheus_file(prom_out))
       std::cout << "prometheus exposition written to " << prom_out << "\n";
@@ -630,15 +636,7 @@ int main(int argc, char** argv) {
       std::cerr << "dynamic_service: failed to write metrics to " << prom_out
                 << "\n";
   }
-  if (!events_out.empty()) {
-    if (pargreedy::obs::EventRecorder::global().write_file(events_out))
-      std::cout << "flight-recorder events written to " << events_out << " ("
-                << pargreedy::obs::EventRecorder::global().event_count()
-                << " events)\n";
-    else
-      std::cerr << "dynamic_service: failed to write events to " << events_out
-                << "\n";
-  }
+  if (!events_out.empty()) write_recording(events_out, "flight recorder");
 #endif
   return rc;
 }

@@ -466,9 +466,10 @@ def check_obs_confined(root: pathlib.Path) -> List[Violation]:
     TraceSpan, MetricsRegistry) or the one shared clock helper
     (src/support/timing.hpp) — never sprinkled through library code,
     where they would bypass the seam's compile-time and runtime gates.
-    Event emission in particular must go through PG_OBS_EVENT* /
-    PG_OBS_EVENT_DUMP, never by naming EventRecorder or record_event
-    directly (those calls would survive a PARGREEDY_OBS=0 build).
+    Flight-recorder records in particular must go through PG_OBS_EVENT*
+    / PG_OBS_SPAN* / PG_OBS_EVENT_DUMP, never by naming EventRecorder or
+    record_event directly (those calls would survive a PARGREEDY_OBS=0
+    build).
     """
     pat = re.compile(
         r"\b(?:steady_clock|system_clock|high_resolution_clock)\b|"

@@ -1,25 +1,37 @@
 #!/usr/bin/env python3
-"""Validate Chrome trace_event JSON exported by the obs tracer.
+"""Validate the flight recorder's Chrome trace_event JSON exports.
 
-Usage: validate_trace_json.py FILE [FILE ...] [--require NAME[,NAME...]]
+Usage: validate_trace_json.py FILE [FILE ...]
+           [--require NAME[,NAME...]] [--require-chain N]
 
 Each FILE must be a Chrome trace_event "JSON object format" document as
-emitted by pargreedy's obs::Tracer (docs/OBSERVABILITY.md):
+emitted by pargreedy's obs::EventRecorder (docs/OBSERVABILITY.md), for
+every export (TRACE_*.json, EVENTS_*.json, failure dumps):
 
-  * top level: an object with a "traceEvents" list (extra keys such as
-    "displayTimeUnit" are allowed);
-  * every event: an object with string "name", one-character "ph" in
-    {X, i, C, M}, integer "ts" >= 0, and integer "pid"/"tid";
-  * "X" (complete) events additionally carry integer "dur" >= 0 and a
+  * top level: an object with a non-empty "traceEvents" list, a
+    non-empty string "reason" and an integer "overwritten" >= 0 (extra
+    keys such as "displayTimeUnit" are allowed);
+  * every record: an object with string "name", one-character "ph" in
+    {X, i, C, M}, integer "ts" >= 0, and integer "pid"/"tid" >= 0;
+    timestamps are non-decreasing (the recorder merges per-thread rings
+    sorted by timestamp, and a span records at its open);
+  * "X" (span) records additionally carry integer "dur" >= 0 and a
     string "cat";
-  * "C" (counter) events carry args.value as a non-negative integer;
+  * "X" and "i" (event) records carry their correlation ids in "args":
+    integer "batch_id"/"txn_id" >= 0, and "shard_id" >= 0 when present;
+  * "C" (counter) records carry args.value as a non-negative integer;
   * "args", when present, is an object with int-or-string values.
 
---require NAME[,NAME...] additionally demands that every listed event
+--require NAME[,NAME...] additionally demands that every listed record
 name occurs somewhere in each file — the CI bench-capture lane uses it
-to pin the per-round decide/commit/expand spans and the txn.abort
-counter, so an instrumentation regression fails the lane instead of
-shipping a hollow trace.
+to pin the per-round decide/commit/expand spans, the txn.abort counter
+and the repropagation and exchange events, so an instrumentation
+regression fails the lane instead of shipping a hollow recording.
+
+--require-chain N demands that some single batch_id's records span at
+least N distinct args.shard_id values — the machine check that one
+UpdateBatch is followable across all shards of a sharded run via its
+correlation id.
 
 Exits 0 when every file validates, 1 otherwise (all problems are
 reported, not just the first), 2 on usage errors.
@@ -31,8 +43,12 @@ from pathlib import Path
 VALID_PHASES = {"X", "i", "C", "M"}
 
 
+def _nonneg_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def validate_event(event, where: str) -> list[str]:
-    """Schema errors for one trace event object."""
+    """Schema errors for one trace record."""
     if not isinstance(event, dict):
         return [f"{where}: event is {type(event).__name__}, not an object"]
     errors = []
@@ -44,12 +60,10 @@ def validate_event(event, where: str) -> list[str]:
         errors.append(f"{where}: 'ph' must be one of {sorted(VALID_PHASES)}")
         return errors  # phase-specific checks are meaningless without ph
     for key in ("ts", "pid", "tid"):
-        value = event.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not _nonneg_int(event.get(key)):
             errors.append(f"{where}: '{key}' must be a non-negative integer")
     if ph == "X":
-        dur = event.get("dur")
-        if not isinstance(dur, int) or isinstance(dur, bool) or dur < 0:
+        if not _nonneg_int(event.get("dur")):
             errors.append(f"{where}: complete event needs integer 'dur' >= 0")
         if not isinstance(event.get("cat"), str):
             errors.append(f"{where}: complete event needs a string 'cat'")
@@ -57,46 +71,79 @@ def validate_event(event, where: str) -> list[str]:
     if args is not None:
         if not isinstance(args, dict):
             errors.append(f"{where}: 'args' must be an object")
+            args = {}
         else:
             for k, v in args.items():
                 if not isinstance(v, (int, str)) or isinstance(v, bool):
                     errors.append(
                         f"{where}: args[{k!r}] must be an int or string")
-    if ph == "C":
-        value = (args or {}).get("value")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    args = args or {}
+    if ph in ("X", "i"):
+        for key in ("batch_id", "txn_id"):
+            if not _nonneg_int(args.get(key)):
+                errors.append(
+                    f"{where}: args.{key} must be a non-negative integer")
+        if "shard_id" in args and not _nonneg_int(args["shard_id"]):
             errors.append(
-                f"{where}: counter event needs non-negative args.value")
+                f"{where}: args.shard_id must be a non-negative integer")
+    if ph == "C" and not _nonneg_int(args.get("value")):
+        errors.append(
+            f"{where}: counter event needs non-negative args.value")
     return errors
 
 
-def validate_file(path: Path, required: list[str]):
-    """(errors, event count) for one trace file."""
+def validate_file(path: Path, required: list[str], chain: int):
+    """(errors, record count) for one trace file."""
     if not path.is_file():
-        return [f"{path}: missing (tracer did not export)"], 0
+        return [f"{path}: missing (recorder did not export)"], 0
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         return [f"{path}: unreadable or malformed JSON — {e}"], 0
     if not isinstance(doc, dict):
         return [f"{path}: top level must be an object"], 0
+    errors = []
+    if not isinstance(doc.get("reason"), str) or not doc.get("reason"):
+        errors.append(f"{path}: 'reason' must be a non-empty string")
+    if not _nonneg_int(doc.get("overwritten")):
+        errors.append(f"{path}: 'overwritten' must be a non-negative integer")
     events = doc.get("traceEvents")
     if not isinstance(events, list) or not events:
-        return [f"{path}: 'traceEvents' must be a non-empty list"], 0
-    errors = []
+        return errors + [f"{path}: 'traceEvents' must be a non-empty list"], 0
     seen_names = set()
+    shards_per_batch = {}
+    last_ts = 0
     for i, event in enumerate(events):
         errors += validate_event(event, f"{path} event {i}")
-        if isinstance(event, dict) and isinstance(event.get("name"), str):
+        if not isinstance(event, dict):
+            continue
+        if isinstance(event.get("name"), str):
             seen_names.add(event["name"])
+        ts = event.get("ts")
+        if _nonneg_int(ts):
+            if ts < last_ts:
+                errors.append(
+                    f"{path} event {i}: 'ts' decreased ({ts} < {last_ts})")
+            last_ts = ts
+        args = event.get("args")
+        if isinstance(args, dict):
+            batch, shard = args.get("batch_id"), args.get("shard_id")
+            if _nonneg_int(batch) and batch > 0 and _nonneg_int(shard):
+                shards_per_batch.setdefault(batch, set()).add(shard)
     for name in required:
         if name not in seen_names:
             errors.append(f"{path}: required event name {name!r} never occurs")
+    if chain > 0:
+        widest = max((len(s) for s in shards_per_batch.values()), default=0)
+        if widest < chain:
+            errors.append(
+                f"{path}: no batch_id spans {chain} shards "
+                f"(widest correlated chain covers {widest})")
     return errors, len(events)
 
 
 def main(argv: list[str]) -> int:
-    files, required = [], []
+    files, required, chain = [], [], 0
     args = argv[1:]
     while args:
         arg = args.pop(0)
@@ -105,6 +152,17 @@ def main(argv: list[str]) -> int:
                 print("error: --require needs an argument", file=sys.stderr)
                 return 2
             required += [n for n in args.pop(0).split(",") if n]
+        elif arg == "--require-chain":
+            if not args:
+                print("error: --require-chain needs an argument",
+                      file=sys.stderr)
+                return 2
+            try:
+                chain = int(args.pop(0))
+            except ValueError:
+                print("error: --require-chain needs an integer",
+                      file=sys.stderr)
+                return 2
         else:
             files.append(Path(arg))
     if not files:
@@ -112,7 +170,7 @@ def main(argv: list[str]) -> int:
         return 2
     errors = []
     for path in files:
-        file_errors, count = validate_file(path, required)
+        file_errors, count = validate_file(path, required, chain)
         if file_errors:
             errors += file_errors
         else:

@@ -25,19 +25,8 @@ const char* priority_policy_name(PriorityPolicy policy) {
   return "unknown";
 }
 
-namespace {
-
-/// The key functions' failure path, kept out of line so that they stay
-/// small enough to inline into the sorting passes, which call them a few
-/// times per element.
-[[noreturn]] void reject_key(const char* what) {
-  detail::check_failed("valid priority key", __FILE__, __LINE__, what);
-}
-
-}  // namespace
-
 uint64_t descending_weight_bits(Weight w) {
-  if (std::isnan(w)) reject_key("priority weights must not be NaN");
+  PG_CHECK_MSG(!std::isnan(w), "priority weights must not be NaN");
   if (w == 0.0) w = 0.0;  // collapse -0.0 onto +0.0: equal weights, one key
   // Standard total-order trick: flipping the sign bit of non-negatives and
   // all bits of negatives makes the uint64 image ascend with the double;
@@ -79,7 +68,7 @@ PriorityKey PrioritySource::vertex_key(VertexId v, Weight w) const {
     case PriorityPolicy::kEdgeWeight:
       break;
   }
-  reject_key("edge_weight policy has no vertex priorities");
+  PG_CHECK_MSG(false, "edge_weight policy has no vertex priorities");
 }
 
 PriorityKey PrioritySource::edge_key(const Edge& e, Weight w) const {
@@ -93,7 +82,7 @@ PriorityKey PrioritySource::edge_key(const Edge& e, Weight w) const {
     case PriorityPolicy::kVertexWeight:
       break;
   }
-  reject_key("vertex_weight policy has no edge priorities");
+  PG_CHECK_MSG(false, "vertex_weight policy has no edge priorities");
 }
 
 namespace {

@@ -35,9 +35,6 @@ struct MmReproEngine {
 
 DynamicMatching::DynamicMatching(EngineOptions options)
     : source_(std::move(options.source)) {
-  PG_CHECK_MSG(!options.explicit_order,
-               "DynamicMatching has no vertex-order mode; use a "
-               "PrioritySource policy");
   compact_threshold_ = options.compaction_threshold;
   CsrGraph base = std::move(options.graph);
   active_.assign(base.num_vertices(), 1);
@@ -168,8 +165,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   // for the duration of the batch.
   support::RoleScope overlay_writer(graph_.writer_role_);
   PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or a sharded driver's
-  PG_OBS_SPAN1(span_batch, "apply_batch", "matching", "batch_size",
-               batch.size());
+  PG_OBS_SPAN1(span_batch, kApplyBatch, batch.size());
   PG_OBS_EVENT1(kBatchBegin, batch.size());
   const uint64_t n = num_vertices();
   PG_CHECK_MSG(batch.endpoints_in_range(n), "batch references vertex >= n");
@@ -278,7 +274,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   lifetime_stats_.accumulate(stats);
   obs_accumulate_batch(stats, "matching", n);
   PG_OBS_EVENT2(kBatchEnd, stats.rounds, stats.changed);
-  PG_OBS_SPAN_ARG(span_batch, "rounds", stats.rounds);
+  PG_OBS_SPAN_ARG(span_batch, stats.rounds);
   return stats;
 }
 

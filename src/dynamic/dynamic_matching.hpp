@@ -75,8 +75,6 @@ class DynamicMatching {
   /// weight_hash_tiebreak read the graph's edge weights — weighted greedy
   /// matching) and the initial matching is computed with the prefix
   /// kernel (mm_prefix, window max(1, m/50), as the static path uses).
-  /// Checked: `options.explicit_order` must be unset —
-  /// matching priorities live on edges, so no VertexOrder describes them.
   /// This is the only constructor; build options with the EngineOptions
   /// factories (engine_api.hpp).
   explicit DynamicMatching(EngineOptions options);
@@ -171,10 +169,6 @@ class DynamicMatching {
   [[nodiscard]] const PrioritySource& priority_source() const {
     return source_;
   }
-
-  /// Always true: matching priorities are always policy-derived (there is
-  /// no explicit-order mode). Part of the DynamicEngineApi surface.
-  [[nodiscard]] bool has_priority_source() const noexcept { return true; }
 
   /// The priority order this engine induces on the edges of `g` (reading
   /// g's edge weights under the weighted policies) — feed to mm_sequential

@@ -31,42 +31,23 @@ struct MisReproEngine {
   }
 };
 
-DynamicMis::DynamicMis(EngineOptions options) {
+DynamicMis::DynamicMis(EngineOptions options)
+    : source_(std::move(options.source)) {
   compact_threshold_ = options.compaction_threshold;
-  if (options.explicit_order) {
-    order_ = std::move(*options.explicit_order);
-  } else {
-    source_ = std::move(options.source);
-    has_source_ = true;
-    order_ = source_.vertex_order(options.graph);
-  }
-  init(std::move(options.graph));
-}
-
-const PrioritySource& DynamicMis::priority_source() const {
-  PG_CHECK_MSG(has_source_,
-               "engine was built from an explicit VertexOrder; no "
-               "PrioritySource describes its priorities");
-  return source_;
-}
-
-void DynamicMis::init(CsrGraph base) {
-  PG_CHECK_MSG(order_.size() == base.num_vertices(),
-               "ordering size != vertex count");
-  if (has_source_) {
-    // Cache per-vertex keys: (key, id) compares give exactly the order_
-    // total order, and stay refreshable under vertex reweights.
-    const uint64_t n = base.num_vertices();
-    vpri_.resize(n);
-    if (source_.has_secondary_word()) vpri2_.resize(n);
-    parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
-      const PriorityKey k =
-          source_.vertex_key(static_cast<VertexId>(v),
-                             base.vertex_weight(static_cast<VertexId>(v)));
-      vpri_[static_cast<std::size_t>(v)] = k.primary;
-      if (!vpri2_.empty()) vpri2_[static_cast<std::size_t>(v)] = k.secondary;
-    });
-  }
+  CsrGraph base = std::move(options.graph);
+  order_ = source_.vertex_order(base);
+  // Cache per-vertex keys: (key, id) compares give exactly the order_
+  // total order, and stay refreshable under vertex reweights.
+  const uint64_t n = base.num_vertices();
+  vpri_.resize(n);
+  if (source_.has_secondary_word()) vpri2_.resize(n);
+  parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
+    const PriorityKey k =
+        source_.vertex_key(static_cast<VertexId>(v),
+                           base.vertex_weight(static_cast<VertexId>(v)));
+    vpri_[static_cast<std::size_t>(v)] = k.primary;
+    if (!vpri2_.empty()) vpri2_[static_cast<std::size_t>(v)] = k.secondary;
+  });
   active_.assign(base.num_vertices(), 1);
   in_set_ = mis_prefix(base, order_,
                        std::max<uint64_t>(1, base.num_vertices() / 50))
@@ -107,7 +88,7 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
   // The engine is the overlay's writer for the scope of this batch.
   support::RoleScope overlay_writer(graph_.writer_role_);
   PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or a sharded driver's
-  PG_OBS_SPAN1(span_batch, "apply_batch", "mis", "batch_size", batch.size());
+  PG_OBS_SPAN1(span_batch, kApplyBatch, batch.size());
   PG_OBS_EVENT1(kBatchBegin, batch.size());
   const uint64_t n = num_vertices();
   PG_CHECK_MSG(batch.endpoints_in_range(n), "batch references vertex >= n");
@@ -169,7 +150,6 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
     if (graph_.vertex_weight(v) == w) continue;
     graph_.set_vertex_weight(v, w);
     ++stats.reweighted;
-    if (!has_source_) continue;  // explicit pi never reads weights
     const PriorityKey old_key = cached_vertex_key(v);
     const PriorityKey k = source_.vertex_key(v, w);
     if (k == old_key) continue;  // e.g. random_hash: provable no-op
@@ -199,7 +179,7 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
   lifetime_stats_.accumulate(stats);
   obs_accumulate_batch(stats, "mis", n);
   PG_OBS_EVENT2(kBatchEnd, stats.rounds, stats.changed);
-  PG_OBS_SPAN_ARG(span_batch, "rounds", stats.rounds);
+  PG_OBS_SPAN_ARG(span_batch, stats.rounds);
   return stats;
 }
 
@@ -226,13 +206,6 @@ void DynamicMis::compact() {
 void DynamicMis::compact_impl() {
   graph_.compact();  // checks no journal is attached
   ++epoch_;
-}
-
-PriorityKey DynamicMis::cached_vertex_key(VertexId v) const {
-  PG_CHECK_MSG(has_source_,
-               "engine was built from an explicit VertexOrder; it caches "
-               "no priority keys");
-  return {vpri_[v], vpri2_.empty() ? 0 : vpri2_[v]};
 }
 
 bool DynamicMis::earlier(VertexId a, PriorityKey key_a, VertexId b) const {

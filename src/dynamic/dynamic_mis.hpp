@@ -12,17 +12,15 @@
 // (Theorem 3.5 / Fischer–Noever). See repropagate.hpp for the round
 // structure and determinism argument.
 //
-// Priorities under reweights: for a PrioritySource-built engine the
-// comparisons run on cached per-vertex PriorityKeys (key, id tie-break —
-// the identical total order the materialized VertexOrder would give), so
-// a batch vertex reweight only refreshes the affected keys. It seeds the
+// Priorities under reweights: the comparisons run on cached per-vertex
+// PriorityKeys (key, id tie-break — the identical total order the
+// materialized VertexOrder would give), so a batch vertex reweight only
+// refreshes the affected keys. It seeds the
 // vertex and, when the vertex is IN, the active neighbours whose order
 // with it flipped (an OUT vertex constrains nobody); under policies whose
 // keys ignore vertex weights (random_hash) a reweight is a provable
 // no-op — zero seeds, zero rounds. Edge reweights update the stored
-// weight for snapshots but never touch vertex priorities. An engine built
-// from an explicit VertexOrder has no policy to re-derive keys from; its
-// pi is fixed for life and reweights only update stored weights.
+// weight for snapshots but never touch vertex priorities.
 //
 // Concurrency contract (machine-checked): one writer, many readers. The
 // mutators (apply_batch, compact, the txn_* seams) may only be called by
@@ -77,8 +75,7 @@ class DynamicMis {
 
   /// Starts from `options.graph` with every vertex active; the initial
   /// solution is computed with the prefix kernel (mis_prefix, window
-  /// max(1, n/50), as the static path uses). Priorities come from
-  /// `options.explicit_order` when set, else pi =
+  /// max(1, n/50), as the static path uses). pi =
   /// options.source.vertex_order(graph) (the weighted policies read the
   /// graph's vertex weights — weighted greedy MIS). This is the only
   /// constructor; build options with the EngineOptions factories
@@ -111,18 +108,11 @@ class DynamicMis {
   /// externally) before reading the engine from other threads.
   [[nodiscard]] const VertexOrder& order() const;
 
-  /// True iff pi was derived from a PrioritySource (the seed and
-  /// PrioritySource constructors; false for an explicit VertexOrder,
-  /// which no policy describes).
-  [[nodiscard]] bool has_priority_source() const noexcept {
-    return has_source_;
+  /// The policy pi was derived from (random_hash(seed) for
+  /// EngineOptions::seeded).
+  [[nodiscard]] const PrioritySource& priority_source() const {
+    return source_;
   }
-
-  /// The policy pi was derived from (random_hash(seed) for the seed
-  /// constructor). Checked: calling this on an engine built from an
-  /// explicit VertexOrder throws — a default source would silently
-  /// mis-describe pi to oracle code.
-  [[nodiscard]] const PrioritySource& priority_source() const;
 
   /// The current solution as a membership bitmap (0 for inactive
   /// vertices) — bit-identical to the from-scratch oracle (see header
@@ -154,8 +144,9 @@ class DynamicMis {
   bool compact_if_needed() PARGREEDY_REQUIRES(writer_role_);
 
   /// The cached priority key of v — the words earlier() compares.
-  /// Checked: source-built engines only (explicit orders cache no keys).
-  [[nodiscard]] PriorityKey cached_vertex_key(VertexId v) const;
+  [[nodiscard]] PriorityKey cached_vertex_key(VertexId v) const {
+    return {vpri_[v], vpri2_.empty() ? 0 : vpri2_[v]};
+  }
 
   /// Monotonic engine-state stamp: bumped by every apply_batch and
   /// compaction, restored by txn_rollback. Equal epochs on one engine
@@ -210,7 +201,6 @@ class DynamicMis {
  private:
   friend struct MisReproEngine;
 
-  void init(CsrGraph base);
   [[nodiscard]] bool decide(VertexId v) const;
 
   /// Compaction bodies shared by compact()/compact_if_needed()/
@@ -220,12 +210,10 @@ class DynamicMis {
   bool compact_if_needed_impl()
       PARGREEDY_REQUIRES(writer_role_, graph_.writer_role_);
 
-  /// True iff a strictly precedes b in pi. For source-built engines this
-  /// compares the cached keys (id tie-break) — the same total order the
-  /// materialized VertexOrder gives, but robust to reweights; explicit
-  /// orders compare ranks.
+  /// True iff a strictly precedes b in pi: compares the cached keys (id
+  /// tie-break) — the same total order the materialized VertexOrder
+  /// gives, but robust to reweights.
   [[nodiscard]] bool earlier(VertexId a, VertexId b) const {
-    if (!has_source_) return order_.earlier(a, b);
     if (vpri_[a] != vpri_[b]) return vpri_[a] < vpri_[b];
     if (!vpri2_.empty() && vpri2_[a] != vpri2_[b])
       return vpri2_[a] < vpri2_[b];
@@ -234,16 +222,13 @@ class DynamicMis {
 
   /// earlier(a, b) with a ranked by `key_a` instead of its cached key —
   /// how a reweight compares a vertex's old rank with its neighbours'.
-  /// Source-built engines only.
   [[nodiscard]] bool earlier(VertexId a, PriorityKey key_a, VertexId b) const;
 
   OverlayGraph graph_;
   mutable VertexOrder order_;      // lazily re-materialized after reweights
   mutable bool order_stale_ = false;
   PrioritySource source_;
-  bool has_source_ = false;
   std::vector<uint64_t> vpri_;   // per vertex: priority key, primary word
-                                 // (source-built engines only)
   std::vector<uint64_t> vpri2_;  // per vertex: secondary word; empty (and
                                  // skipped in earlier()) for single-word
                                  // policies

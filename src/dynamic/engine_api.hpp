@@ -5,11 +5,11 @@
 //   EngineOptions     the single constructor argument of DynamicMis and
 //                     DynamicMatching. The engines used to grow one
 //                     constructor overload per configuration axis (seed,
-//                     explicit order, PrioritySource, ...); every axis is
-//                     now a field of this struct and the overloads are
-//                     gone. Callers build options with the named factories
-//                     (seeded / with_source / with_order) so call sites
-//                     read as intent, not positional soup.
+//                     PrioritySource, ...); every axis is now a field of
+//                     this struct and the overloads are gone. Callers
+//                     build options with the named factories (seeded /
+//                     with_source) so call sites read as intent, not
+//                     positional soup.
 //
 //   DynamicEngineApi  the concept the generic layers program against.
 //                     Transaction<Traits> (src/txn/) and ShardedEngine
@@ -32,10 +32,6 @@
 //   with_source(g, src)    pi / edge keys derived from the PrioritySource
 //                          policy (weighted greedy under the weight
 //                          policies).
-//   with_order(g, order)   DynamicMis only: an explicit, fixed-for-life
-//                          VertexOrder with no policy behind it (reweights
-//                          cannot move priorities). DynamicMatching has no
-//                          vertex-order mode and rejects it (checked).
 //
 // compaction_threshold mirrors set_compaction_threshold(): the overlay
 // fraction above which apply_batch folds deltas into the base CSR
@@ -44,10 +40,8 @@
 
 #include <concepts>
 #include <cstdint>
-#include <optional>
 #include <utility>
 
-#include "core/mis/vertex_order.hpp"
 #include "core/priority/priority_source.hpp"
 #include "dynamic/batch_stats.hpp"
 #include "dynamic/overlay_graph.hpp"
@@ -64,14 +58,9 @@ struct EngineOptions {
   /// The base graph the engine starts from (consumed).
   CsrGraph graph;
 
-  /// Priority policy; ignored when `explicit_order` is set. Defaults to
-  /// random_hash(0) so a value-initialized options struct is still valid.
+  /// Priority policy. Defaults to random_hash(0) so a value-initialized
+  /// options struct is still valid.
   PrioritySource source = PrioritySource::random_hash(0);
-
-  /// DynamicMis only: a fixed explicit pi instead of a policy. Engines
-  /// built this way cache no priority keys and reweights never move
-  /// priorities (see dynamic_mis.hpp).
-  std::optional<VertexOrder> explicit_order;
 
   /// Overlay fraction above which apply_batch compacts; <= 0 disables.
   double compaction_threshold = 0.5;
@@ -92,16 +81,6 @@ struct EngineOptions {
     EngineOptions opts;
     opts.graph = std::move(graph);
     opts.source = std::move(source);
-    return opts;
-  }
-
-  /// Explicit fixed pi (DynamicMis only) — the historical
-  /// `(graph, VertexOrder)` constructor.
-  [[nodiscard]] static EngineOptions with_order(CsrGraph graph,
-                                               VertexOrder order) {
-    EngineOptions opts;
-    opts.graph = std::move(graph);
-    opts.explicit_order = std::move(order);
     return opts;
   }
 
@@ -130,7 +109,6 @@ concept DynamicEngineApi =
       { ce.graph() } -> std::same_as<const OverlayGraph&>;
       { ce.active_subgraph() } -> std::same_as<CsrGraph>;
       { ce.lifetime_stats() } noexcept -> std::same_as<const BatchStats&>;
-      { ce.has_priority_source() } noexcept -> std::same_as<bool>;
       { ce.solution() };  // value type is engine-specific (Traits::Value)
       // Mutators (single writer).
       { e.apply_batch(batch) } -> std::same_as<BatchStats>;

@@ -368,8 +368,7 @@ void OverlayGraph::compact() {
                "compact() is forbidden while an undo journal is attached "
                "(slot reassignment has no cheap inverse)");
   PG_OBS_COUNT(obs::kOverlayCompactions, 1);
-  PG_OBS_SPAN2(span_compact, "compact", "overlay", "live_edges", live_edges_,
-               "extra", extra_edges_.size());
+  PG_OBS_SPAN2(span_compact, kCompact, live_edges_, extra_edges_.size());
   // All-or-nothing: everything that allocates is built in locals first,
   // so a throw (bad_alloc) leaves the overlay untouched; nothing after
   // the last local allocates.

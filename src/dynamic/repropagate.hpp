@@ -98,7 +98,7 @@ void repropagate(std::vector<Item> frontier, Engine&& engine, uint64_t limit,
   // All instrumentation below runs on the (serial) driver thread, keyed
   // by deterministic quantities — frontier/flip/fanout sizes are the
   // same at any worker count, so the obs counters are too.
-  PG_OBS_SPAN1(span_repro, "repropagate", "repro", "seeds", stats.seeds);
+  PG_OBS_SPAN1(span_repro, kRepropagate, stats.seeds);
 
   std::vector<uint8_t> decisions;
   while (!frontier.empty()) {
@@ -113,8 +113,7 @@ void repropagate(std::vector<Item> frontier, Engine&& engine, uint64_t limit,
     // Decide: pure reads of engine state.
     std::vector<int64_t> flipped;
     {
-      PG_OBS_SPAN2(span_decide, "decide", "repro", "round", stats.rounds,
-                   "frontier", f);
+      PG_OBS_SPAN2(span_decide, kDecide, stats.rounds, f);
       decisions.assign(frontier.size(), 0);
       parallel_for(0, f, [&](int64_t i) {
         decisions[static_cast<std::size_t>(i)] =
@@ -130,8 +129,7 @@ void repropagate(std::vector<Item> frontier, Engine&& engine, uint64_t limit,
     PG_OBS_EVENT2(kReproRound, frontier.size(), flipped.size());
 
     {
-      PG_OBS_SPAN2(span_commit, "commit", "repro", "round", stats.rounds,
-                   "flipped", flipped.size());
+      PG_OBS_SPAN2(span_commit, kCommit, stats.rounds, flipped.size());
 
       // Journal the flips' old values before the commit overwrites them
       // (serial, O(changed) — the undo log a transaction replays on abort).
@@ -155,7 +153,7 @@ void repropagate(std::vector<Item> frontier, Engine&& engine, uint64_t limit,
     const int64_t c = static_cast<int64_t>(flipped.size());
     std::vector<Item> next;
     {
-      PG_OBS_SPAN1(span_expand, "expand", "repro", "round", stats.rounds);
+      PG_OBS_SPAN1(span_expand, kExpand, stats.rounds);
       if (c > 0) {
         std::vector<std::vector<Item>> per_block(
             static_cast<std::size_t>(parallel_block_count(c)));
@@ -174,12 +172,12 @@ void repropagate(std::vector<Item> frontier, Engine&& engine, uint64_t limit,
         PG_OBS_HIST(obs::kReproConeFanout, next.size());
         sort_unique(next);
       }
-      PG_OBS_SPAN_ARG(span_expand, "next_frontier", next.size());
+      PG_OBS_SPAN_ARG(span_expand, next.size());
     }
     frontier = std::move(next);
   }
   PG_OBS_HIST(obs::kReproBatchRounds, stats.rounds);
-  PG_OBS_SPAN_ARG(span_repro, "rounds", stats.rounds);
+  PG_OBS_SPAN_ARG(span_repro, stats.rounds);
 }
 
 }  // namespace pargreedy

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 
+#include "obs/metrics.hpp"
 #include "support/env.hpp"
 #include "support/timing.hpp"
 
@@ -22,46 +24,125 @@ uint64_t next_batch_id() noexcept {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-}  // namespace detail
+std::atomic<int> g_spans_armed{-1};
 
-const char* event_kind_name(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kBatchBegin:
-      return "batch.begin";
-    case EventKind::kBatchEnd:
-      return "batch.end";
-    case EventKind::kReproRound:
-      return "repro.round";
-    case EventKind::kTxnBegin:
-      return "txn.begin";
-    case EventKind::kTxnCommit:
-      return "txn.commit";
-    case EventKind::kTxnAbort:
-      return "txn.abort";
-    case EventKind::kTxnEpochFail:
-      return "txn.epoch_fail";
-    case EventKind::kShardApply:
-      return "shard.apply";
-    case EventKind::kExchangeRound:
-      return "shard.exchange_round";
-    case EventKind::kForcing:
-      return "shard.forcing";
-    case EventKind::kConflictRetry:
-      return "shard.conflict_retry";
-    case EventKind::kCertFail:
-      return "shard.cert_fail";
-    case EventKind::kArbitrate:
-      return "shard.arbitrate";
-    case EventKind::kDump:
-      return "events.dump";
-    case EventKind::kKindCount:
-      break;
-  }
-  return "unknown";
+bool resolve_spans_armed() noexcept {
+  const bool on =
+      enabled() && !env_string("PARGREEDY_TRACE_DIR", "").empty();
+  // First resolver wins; a concurrent arm/disarm store also wins —
+  // either way the flag is settled after this.
+  int expected = -1;
+  g_spans_armed.compare_exchange_strong(expected, on ? 1 : 0,
+                                        std::memory_order_relaxed);
+  return g_spans_armed.load(std::memory_order_relaxed) != 0;
 }
 
-void EventRecorder::record(EventKind kind, uint64_t arg0,
-                           uint64_t arg1) noexcept {
+}  // namespace detail
+
+namespace {
+
+// Indexed by EventKind: keep the rows in enumerator order.
+constexpr KindInfo kKinds[] = {
+    {"batch.begin", "engine", {"batch_size", nullptr}, false},
+    {"batch.end", "engine", {"rounds", "changed"}, false},
+    {"repro.round", "repro", {"frontier", "flipped"}, false},
+    {"txn.begin", "txn", {nullptr, nullptr}, false},
+    {"txn.commit", "txn", {"journal_records", nullptr}, false},
+    {"txn.abort", "txn", {"explicit", nullptr}, false},
+    {"txn.epoch_fail", "txn", {"seen", "expected"}, false},
+    {"shard.apply", "shard", {"batch_size", nullptr}, false},
+    {"shard.exchange_round", "shard", {"round", "forcing"}, false},
+    {"shard.forcing", "shard", {"round", "size"}, false},
+    {"shard.conflict_retry", "shard", {"round", nullptr}, false},
+    {"shard.cert_fail", "shard", {"round", nullptr}, false},
+    {"shard.arbitrate", "shard", {"soft_cap", nullptr}, false},
+    {"events.dump", "obs", {nullptr, nullptr}, false},
+    {"apply_batch", "engine", {"batch_size", "rounds"}, true},
+    {"repropagate", "repro", {"seeds", "rounds"}, true},
+    {"decide", "repro", {"round", "frontier"}, true},
+    {"commit", "repro", {"round", "flipped"}, true},
+    {"expand", "repro", {"round", "next_frontier"}, true},
+    {"compact", "overlay", {"live_edges", "extra"}, true},
+    {"txn.begin", "txn", {nullptr, nullptr}, true},
+    {"txn.apply", "txn", {"batch_size", nullptr}, true},
+    {"txn.rollback_to", "txn", {nullptr, nullptr}, true},
+    {"txn.commit", "txn", {"journal_records", nullptr}, true},
+    {"txn.abort", "txn", {"journal_records", nullptr}, true},
+    {"run_exchange", "shard", {nullptr, "rounds"}, true},
+    {"exchange_batch", "shard", {"batch_size", nullptr}, true},
+};
+static_assert(std::size(kKinds) ==
+                  static_cast<std::size_t>(EventKind::kKindCount),
+              "one kind-table row per EventKind");
+
+// Kind names, categories and arg names are literals from the table
+// above, so the writer emits them verbatim; registry metric names go
+// through the same minimal escape metrics.cpp uses.
+void write_json_string(std::ostream& out, const std::string& s) {
+  out << '"';
+  for (char c : s) {
+    if (c == '"' || c == '\\') out << '\\';
+    out << c;
+  }
+  out << '"';
+}
+
+void write_record(std::ostream& out, const EventRecord& r) {
+  const KindInfo& info = kind_info(static_cast<EventKind>(r.kind));
+  out << "{\"name\": \"" << info.name << "\", \"cat\": \"" << info.cat
+      << "\", \"ph\": \"" << (info.span ? 'X' : 'i') << "\", \"ts\": "
+      << r.ts_us;
+  if (info.span) {
+    out << ", \"dur\": " << r.dur_us;
+  } else {
+    out << ", \"s\": \"t\"";
+  }
+  out << ", \"pid\": 1, \"tid\": " << r.tid
+      << ", \"args\": {\"batch_id\": " << r.batch_id
+      << ", \"txn_id\": " << r.txn_id;
+  if (r.shard_id != kNoShard) out << ", \"shard_id\": " << r.shard_id;
+  const uint64_t value[2] = {r.arg0, r.arg1};
+  for (int i = 0; i < 2; ++i) {
+    if (info.arg[i] != nullptr)
+      out << ", \"" << info.arg[i] << "\": " << value[i];
+  }
+  out << "}}";
+}
+
+void write_metadata(std::ostream& out, const char* what, uint32_t tid,
+                    const std::string& value) {
+  out << "{\"name\": \"" << what << "\", \"ph\": \"M\", \"ts\": 0"
+      << ", \"pid\": 1, \"tid\": " << tid << ", \"args\": {\"name\": ";
+  write_json_string(out, value);
+  out << "}}";
+}
+
+void write_counter(std::ostream& out, const std::string& name, uint64_t value,
+                   uint64_t ts_us) {
+  out << "{\"name\": ";
+  write_json_string(out, name);
+  out << ", \"cat\": \"metrics\", \"ph\": \"C\", \"ts\": " << ts_us
+      << ", \"pid\": 1, \"tid\": 0, \"args\": {\"value\": " << value << "}}";
+}
+
+}  // namespace
+
+const KindInfo& kind_info(EventKind kind) noexcept {
+  return kKinds[static_cast<std::size_t>(kind)];
+}
+
+bool arm_spans() noexcept {
+  if (!enabled()) return false;
+  detail::g_spans_armed.store(1, std::memory_order_relaxed);
+  return true;
+}
+
+void disarm_spans() noexcept {
+  detail::g_spans_armed.store(0, std::memory_order_relaxed);
+}
+
+uint64_t EventRecorder::record(EventKind kind, uint64_t arg0,
+                               uint64_t arg1) noexcept {
   Ring& ring = thread_ring();
   // Only the owning thread writes seq, so the load-modify-store below is
   // single-writer; relaxed publication is all a quiescent merge needs.
@@ -69,6 +150,7 @@ void EventRecorder::record(EventKind kind, uint64_t arg0,
   EventRecord& slot = ring.slots[seq & (kRingCapacity - 1)];
   const detail::Correlation& c = detail::correlation();
   slot.ts_us = micros_since_origin();
+  slot.dur_us = 0;
   slot.batch_id = c.batch_id;
   slot.txn_id = c.txn_id;
   slot.arg0 = arg0;
@@ -77,6 +159,18 @@ void EventRecorder::record(EventKind kind, uint64_t arg0,
   slot.kind = static_cast<uint16_t>(kind);
   slot.tid = ring.tid;
   ring.seq.store(seq + 1, std::memory_order_relaxed);
+  return seq;
+}
+
+void EventRecorder::close_span(uint64_t seq, uint64_t arg1) noexcept {
+  Ring& ring = thread_ring();
+  // Record `seq` is overwritten by record seq + kRingCapacity; from then
+  // on its slot belongs to a later record. (A clear() since the open
+  // makes the difference wrap around and skips the fill too.)
+  if (ring.seq.load(std::memory_order_relaxed) - seq > kRingCapacity) return;
+  EventRecord& slot = ring.slots[seq & (kRingCapacity - 1)];
+  slot.dur_us = micros_since_origin() - slot.ts_us;
+  slot.arg1 = arg1;
 }
 
 std::vector<EventRecord> EventRecorder::merged() const {
@@ -94,9 +188,10 @@ std::vector<EventRecord> EventRecorder::merged() const {
       }
     }
   }
-  // Stable: records from one ring are already in recording order, so ties
-  // (coarse timestamps) keep per-thread order and the merge of a
-  // driver-thread-only workload is bit-reproducible.
+  // Stable: records from one ring are already in recording order, which
+  // is timestamp order (a span records at open), so ties (coarse
+  // timestamps) keep per-thread order and the merge of a driver-thread-
+  // only workload is bit-reproducible.
   std::stable_sort(out.begin(), out.end(),
                    [](const EventRecord& a, const EventRecord& b) {
                      return a.ts_us < b.ts_us;
@@ -131,24 +226,31 @@ void EventRecorder::clear() {
 
 void EventRecorder::write_json(std::ostream& out,
                                const std::string& reason) const {
-  out << "{\"schema\": \"pargreedy-events-v1\", \"reason\": \"";
-  for (char ch : reason) {
-    if (ch == '"' || ch == '\\') out << '\\';
-    out << ch;
+  const uint64_t now_us = micros_since_origin();
+  out << "{\"traceEvents\": [\n  ";
+  write_metadata(out, "process_name", 0, "pargreedy");
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& ring : rings_) {
+      out << ",\n  ";
+      write_metadata(out, "thread_name", ring->tid,
+                     "obs-thread-" + std::to_string(ring->tid));
+    }
   }
-  out << "\", \"overwritten\": " << overwritten() << ", \"events\": [\n";
-  const char* sep = "";
-  for (const EventRecord& e : merged()) {
-    out << sep << "  {\"ts\": " << e.ts_us << ", \"tid\": " << e.tid
-        << ", \"kind\": \"" << event_kind_name(static_cast<EventKind>(e.kind))
-        << "\", \"batch_id\": " << e.batch_id << ", \"txn_id\": " << e.txn_id
-        << ", \"shard_id\": "
-        << (e.shard_id == kNoShard ? int64_t{-1}
-                                   : static_cast<int64_t>(e.shard_id))
-        << ", \"arg0\": " << e.arg0 << ", \"arg1\": " << e.arg1 << "}";
-    sep = ",\n";
+  for (const EventRecord& r : merged()) {
+    out << ",\n  ";
+    write_record(out, r);
   }
-  out << "\n]}\n";
+  // Counter end-state rides along so every export is self-describing:
+  // one Chrome "C" event per registered counter, stamped at merge time.
+  for (const auto& s : MetricsRegistry::global().snapshot()) {
+    if (s.kind != MetricSample::Kind::kCounter) continue;
+    out << ",\n  ";
+    write_counter(out, s.name, s.counter, now_us);
+  }
+  out << "\n], \"displayTimeUnit\": \"ms\", \"reason\": ";
+  write_json_string(out, reason);
+  out << ", \"overwritten\": " << overwritten() << "}\n";
 }
 
 bool EventRecorder::write_file(const std::string& path,
@@ -186,21 +288,16 @@ EventRecorder& EventRecorder::global() {
 }
 
 EventRecorder::Ring& EventRecorder::thread_ring() {
-  // Keyed by recorder so tests can exercise a local EventRecorder without
-  // their records landing in global()'s rings. Steady state is a scan of
-  // a one-entry (rarely two) thread-local vector — still lock-free.
-  thread_local std::vector<std::pair<const EventRecorder*, Ring*>> cache;
-  for (const auto& [recorder, ring] : cache) {
-    if (recorder == this) return *ring;
-  }
+  // global() is the only instance, so one pointer per thread suffices.
+  thread_local Ring* cached = nullptr;
+  if (cached != nullptr) return *cached;
   std::lock_guard<std::mutex> lock(mutex_);
   auto ring = std::make_unique<Ring>();
   ring->tid = static_cast<uint16_t>(rings_.size());
   ring->slots.resize(kRingCapacity);
-  Ring* raw = ring.get();
+  cached = ring.get();
   rings_.push_back(std::move(ring));
-  cache.emplace_back(this, raw);
-  return *raw;
+  return *cached;
 }
 
 }  // namespace pargreedy::obs

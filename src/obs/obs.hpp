@@ -13,9 +13,9 @@
 //   enabled build's — instrumentation can never steer the algorithms.
 //
 //   run time — obs::enabled() (env PARGREEDY_OBS, obs/runtime.hpp) and,
-//   for spans, obs::trace_active() (env PARGREEDY_TRACE /
-//   PARGREEDY_TRACE_DIR or Tracer::start()). Both are one relaxed load
-//   when off.
+//   for spans, obs::spans_armed() (env PARGREEDY_TRACE_DIR or
+//   obs::arm_spans(), obs/events.hpp). Both are one relaxed load when
+//   off.
 //
 // Metric name constants live at the bottom so call sites, docs
 // (docs/OBSERVABILITY.md), tests, and the CI trace validator agree on
@@ -33,7 +33,6 @@
 #if PARGREEDY_OBS
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 // Bump the named counter by `delta`. The Counter reference is resolved
 // once per call site (function-local static), so the steady state is
@@ -70,21 +69,21 @@
     }                                                            \
   } while (0)
 
-// Open an RAII trace span named `var` for the rest of the enclosing
-// scope. Name/category/arg-name operands must be string literals.
-#define PG_OBS_SPAN(var, name, cat) ::pargreedy::obs::TraceSpan var(name, cat)
-#define PG_OBS_SPAN1(var, name, cat, a0n, a0v) \
-  ::pargreedy::obs::TraceSpan var(name, cat, a0n, static_cast<uint64_t>(a0v))
-#define PG_OBS_SPAN2(var, name, cat, a0n, a0v, a1n, a1v)          \
-  ::pargreedy::obs::TraceSpan var(name, cat, a0n,                 \
-                                  static_cast<uint64_t>(a0v), a1n, \
-                                  static_cast<uint64_t>(a1v))
-// Attach a result arg to a live PG_OBS_SPAN* before it closes.
-#define PG_OBS_SPAN_ARG(var, a1n, a1v) \
-  var.set_arg1(a1n, static_cast<uint64_t>(a1v))
-
-// One instant (tick-mark) event.
-#define PG_OBS_INSTANT(name, cat) ::pargreedy::obs::trace_instant(name, cat)
+// Open an RAII span named `var` for the rest of the enclosing scope: one
+// flight-recorder record while spans are armed. `kind` is an UNQUALIFIED
+// span EventKind enumerator (kDecide, kTxnCommitSpan, ...); its args are
+// named by the kind table (obs/events.hpp).
+#define PG_OBS_SPAN(var, kind) \
+  ::pargreedy::obs::TraceSpan var(::pargreedy::obs::EventKind::kind)
+#define PG_OBS_SPAN1(var, kind, a0)                                 \
+  ::pargreedy::obs::TraceSpan var(::pargreedy::obs::EventKind::kind, \
+                                  static_cast<uint64_t>(a0))
+#define PG_OBS_SPAN2(var, kind, a0, a1)                             \
+  ::pargreedy::obs::TraceSpan var(::pargreedy::obs::EventKind::kind, \
+                                  static_cast<uint64_t>(a0),         \
+                                  static_cast<uint64_t>(a1))
+// Set a live PG_OBS_SPAN*'s second arg (an output) before it closes.
+#define PG_OBS_SPAN_ARG(var, a1) var.set_arg1(static_cast<uint64_t>(a1))
 
 // Labeled counter bump: the `name{lkey="lval"}` series. Uncached (one
 // mutex + map lookup) — for cold per-batch paths only; labeled call
@@ -99,11 +98,11 @@
     }                                                              \
   } while (0)
 
-// Flight-recorder record (obs/events.hpp): one fixed-size event into the
-// calling thread's ring. `kind` is an UNQUALIFIED EventKind enumerator
-// (kTxnBegin, kExchangeRound, ...); one relaxed load when the runtime
-// switch is off, plain owner-thread stores + one relaxed publication
-// store when on.
+// Flight-recorder event (obs/events.hpp): one fixed-size record into the
+// calling thread's ring. `kind` is an UNQUALIFIED event EventKind
+// enumerator (kTxnBegin, kExchangeRound, ...); one relaxed load when the
+// runtime switch is off, plain owner-thread stores + one relaxed
+// publication store when on.
 #define PG_OBS_EVENT(kind) \
   ::pargreedy::obs::record_event(::pargreedy::obs::EventKind::kind)
 #define PG_OBS_EVENT1(kind, a0)                                      \
@@ -136,20 +135,16 @@
   ::pargreedy::obs::TxnScope var(static_cast<uint64_t>(id))
 #define PG_OBS_SHARD_SCOPE(var, shard) \
   ::pargreedy::obs::ShardScope var(static_cast<uint32_t>(shard))
-// The innermost open batch id (0 when none) — for span args, so traces
-// and flight-recorder events correlate on the same id.
-#define PG_OBS_BATCH_ID() ::pargreedy::obs::current_batch_id()
 
 #else  // !PARGREEDY_OBS — every site compiles to nothing.
 
 #define PG_OBS_COUNT(name, delta) ((void)0)
 #define PG_OBS_GAUGE(name, value) ((void)0)
 #define PG_OBS_HIST(name, value) ((void)0)
-#define PG_OBS_SPAN(var, name, cat) ((void)0)
-#define PG_OBS_SPAN1(var, name, cat, a0n, a0v) ((void)0)
-#define PG_OBS_SPAN2(var, name, cat, a0n, a0v, a1n, a1v) ((void)0)
-#define PG_OBS_SPAN_ARG(var, a1n, a1v) ((void)0)
-#define PG_OBS_INSTANT(name, cat) ((void)0)
+#define PG_OBS_SPAN(var, kind) ((void)0)
+#define PG_OBS_SPAN1(var, kind, a0) ((void)0)
+#define PG_OBS_SPAN2(var, kind, a0, a1) ((void)0)
+#define PG_OBS_SPAN_ARG(var, a1) ((void)0)
 #define PG_OBS_COUNT_L(name, lkey, lval, delta) ((void)0)
 #define PG_OBS_EVENT(kind) ((void)0)
 #define PG_OBS_EVENT1(kind, a0) ((void)0)
@@ -158,9 +153,6 @@
 #define PG_OBS_BATCH_SCOPE(var) ((void)0)
 #define PG_OBS_TXN_SCOPE(var, id) ((void)0)
 #define PG_OBS_SHARD_SCOPE(var, shard) ((void)0)
-// Constant zero, not ((void)0): usable as a span-arg expression, still
-// free of code.
-#define PG_OBS_BATCH_ID() (uint64_t{0})
 
 #endif  // PARGREEDY_OBS
 

@@ -1,5 +1,5 @@
 // The runtime on/off switch for observability, separated from
-// obs/metrics.hpp and obs/trace.hpp so both can depend on it without a
+// obs/metrics.hpp and obs/events.hpp so both can depend on it without a
 // header cycle.
 //
 // Compile-time gating (the PARGREEDY_OBS seam) lives in obs/obs.hpp;

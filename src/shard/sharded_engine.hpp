@@ -574,8 +574,7 @@ class ShardedEngine {
     // inherits exchange_batch()'s, so one UpdateBatch is one batch_id
     // across every shard's rounds, spans, and flight-recorder events.
     PG_OBS_BATCH_SCOPE(corr_batch);
-    PG_OBS_SPAN1(span_exchange, "run_exchange", "shard", "batch_id",
-                 PG_OBS_BATCH_ID());
+    PG_OBS_SPAN(span_exchange, kRunExchange);
     ExchangeStats ex;
     std::vector<uint64_t> seeds_per_shard(shards_, 0);
     std::vector<uint64_t> retries_per_shard(shards_, 0);
@@ -699,7 +698,7 @@ class ShardedEngine {
       PG_OBS_COUNT_L(obs::kShardConflictRetries, "shard", std::to_string(s),
                      retries_per_shard[s]);
     }
-    PG_OBS_SPAN_ARG(span_exchange, "rounds", ex.rounds);
+    PG_OBS_SPAN_ARG(span_exchange, ex.rounds);
     return ex;
   }
 
@@ -738,8 +737,7 @@ class ShardedEngine {
     // One batch_id for the whole update: the per-shard engine applies
     // below and every exchange round in run_exchange inherit it.
     PG_OBS_BATCH_SCOPE(corr_batch);
-    PG_OBS_SPAN2(span_batch, "exchange_batch", "shard", "batch_size",
-                 batch.size(), "batch_id", PG_OBS_BATCH_ID());
+    PG_OBS_SPAN1(span_batch, kExchangeBatch, batch.size());
     RoutedBatch routed = route_batch(batch, *owner_, shards_);
     for (uint32_t s = 0; s < shards_; ++s)
       for (const VertexId v : routed.new_ghosts[s]) add_ghost(s, v);

@@ -27,6 +27,17 @@ namespace detail {
   throw CheckFailure(os.str());
 }
 
+/// PG_CHECK_MSG's failure path: streams the message with `stream` and
+/// throws. Kept cold and out of line so a check site costs only its test
+/// and a call, and the function holding it stays small enough to inline.
+template <typename Stream>
+[[noreturn, gnu::cold, gnu::noinline]] void check_failed_streamed(
+    const char* expr, const char* file, int line, const Stream& stream) {
+  std::ostringstream os;
+  stream(os);
+  check_failed(expr, file, line, os.str());
+}
+
 }  // namespace detail
 }  // namespace pargreedy
 
@@ -37,14 +48,14 @@ namespace detail {
       ::pargreedy::detail::check_failed(#cond, __FILE__, __LINE__, "");    \
   } while (0)
 
-/// Always-on invariant check with a streamed message.
+/// Always-on invariant check with a streamed message (built only on
+/// failure, out of line).
 #define PG_CHECK_MSG(cond, msg)                                            \
   do {                                                                     \
     if (!(cond)) {                                                         \
-      std::ostringstream pg_check_os_;                                     \
-      pg_check_os_ << msg;                                                 \
-      ::pargreedy::detail::check_failed(#cond, __FILE__, __LINE__,         \
-                                        pg_check_os_.str());               \
+      ::pargreedy::detail::check_failed_streamed(                          \
+          #cond, __FILE__, __LINE__,                                       \
+          [&](std::ostream& pg_check_os_) { pg_check_os_ << msg; });       \
     }                                                                      \
   } while (0)
 

@@ -1,10 +1,10 @@
 // Wall-clock timing utilities used by the bench harness, the examples,
-// and the observability tracer.
+// and the observability flight recorder.
 //
 // Everything in the repo that timestamps measures against ONE clock:
 // `TimingClock` (std::chrono::steady_clock) with a process-wide origin
 // fixed on first use (`timing_origin()`). `Timer` (bench phase timing,
-// time_best_of) and the obs tracer's span timestamps
+// time_best_of) and the flight recorder's record timestamps
 // (`micros_since_origin()`) both read it, so a bench phase duration and
 // the trace spans recorded inside it are directly comparable — no
 // cross-clock skew, no duplicated clock arithmetic.
@@ -16,7 +16,7 @@
 namespace pargreedy {
 
 /// The one monotonic clock every pargreedy timing reads (bench Timer,
-/// time_best_of, obs trace spans).
+/// time_best_of, obs flight-recorder records).
 using TimingClock = std::chrono::steady_clock;
 
 /// The fixed process-wide time origin. First call pins it; every later
@@ -28,7 +28,7 @@ inline TimingClock::time_point timing_origin() noexcept {
 }
 
 /// Microseconds elapsed since timing_origin() — the timestamp unit of the
-/// Chrome trace_event format the obs tracer emits.
+/// Chrome trace_event format the obs flight recorder emits.
 inline uint64_t micros_since_origin() noexcept {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

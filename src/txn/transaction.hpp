@@ -173,13 +173,13 @@ class Transaction {
     check_epoch();
     PG_OBS_COUNT(obs::kTxnBegin, 1);
     PG_OBS_COUNT_L(obs::kTxnBegin, "engine", Traits::kName, 1);
-    PG_OBS_SPAN(span_begin, "txn.begin", "txn");
+    PG_OBS_TXN_SCOPE(corr_txn, txn_id_ + 1);  // the id this begin() opens
+    PG_OBS_SPAN(span_begin, kTxnBeginSpan);
     support::RoleScope engine_writer(engine_.writer_role_);
     engine_.txn_attach(&journal_);
     active_ = true;
     ++txn_id_;
-    PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
-    PG_OBS_EVENT1(kTxnBegin, txn_id_);
+    PG_OBS_EVENT(kTxnBegin);
     base_ = engine_.txn_mark();
     txn_stats_ = BatchStats{};
     rollback_marks_.clear();
@@ -192,7 +192,7 @@ class Transaction {
     PG_CHECK_MSG(active_, "apply() outside begin()");
     PG_OBS_COUNT(obs::kTxnApply, 1);
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
-    PG_OBS_SPAN1(span_apply, "txn.apply", "txn", "batch_size", batch.size());
+    PG_OBS_SPAN1(span_apply, kTxnApplySpan, batch.size());
     support::RoleScope engine_writer(engine_.writer_role_);
     const BatchStats stats = engine_.apply_batch(batch);
     txn_stats_.accumulate(stats);
@@ -238,7 +238,8 @@ class Transaction {
           "rewound past it");
     }
     PG_OBS_COUNT(obs::kTxnRollbackTo, 1);
-    PG_OBS_SPAN(span_rollback, "txn.rollback_to", "txn");
+    PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
+    PG_OBS_SPAN(span_rollback, kTxnRollbackToSpan);
     support::RoleScope engine_writer(engine_.writer_role_);
     engine_.txn_rollback(snapshot.mark);
     rollback_marks_.emplace_back(snapshot.mark.engine_records,
@@ -263,7 +264,7 @@ class Transaction {
     PG_OBS_COUNT_L(obs::kTxnCommit, "engine", Traits::kName, 1);
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
     PG_OBS_EVENT1(kTxnCommit, journal_.engine.size() - base_.engine_records);
-    PG_OBS_SPAN1(span_commit, "txn.commit", "txn", "journal_records",
+    PG_OBS_SPAN1(span_commit, kTxnCommitSpan,
                  journal_.engine.size() - base_.engine_records);
     support::RoleScope engine_writer(engine_.writer_role_);
     // The publication point, first: it reads the journal (and matching's
@@ -342,7 +343,7 @@ class Transaction {
     }
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
     PG_OBS_EVENT1(kTxnAbort, cause == AbortCause::kExplicit ? 1 : 0);
-    PG_OBS_SPAN1(span_abort, "txn.abort", "txn", "journal_records",
+    PG_OBS_SPAN1(span_abort, kTxnAbortSpan,
                  journal_.engine.size() - base_.engine_records);
     support::RoleScope engine_writer(engine_.writer_role_);
     engine_.txn_rollback(base_);

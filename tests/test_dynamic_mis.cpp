@@ -10,6 +10,7 @@
 
 #include "core/mis/mis.hpp"
 #include "core/mis/vertex_order.hpp"
+#include "core/priority/priority_source.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/update_batch.hpp"
 #include "generators/generators.hpp"
@@ -31,6 +32,21 @@ void expect_matches_oracle(const DynamicMis& dm) {
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
     if (!dm.active(v)) expect[v] = 0;
   ASSERT_EQ(dm.solution(), expect);
+}
+
+/// An engine under the identity order (vertex 0 first): vertex_weight
+/// priorities on vertex weights n - v.
+DynamicMis identity_engine(CsrGraph g) {
+  const uint64_t n = g.num_vertices();
+  std::vector<Weight> weights(n);
+  for (VertexId v = 0; v < n; ++v) weights[v] = static_cast<Weight>(n - v);
+  g.set_vertex_weights(std::move(weights));
+  return DynamicMis(EngineOptions::with_source(
+      std::move(g), PrioritySource::vertex_weight()));
+}
+
+DynamicMis identity_engine(uint64_t n, std::vector<Edge> edges) {
+  return identity_engine(CsrGraph::from_edges(EdgeList(n, std::move(edges))));
 }
 
 TEST(DynamicMis, InitialSolutionIsTheGreedyMis) {
@@ -88,8 +104,7 @@ TEST(DynamicMis, CascadeAlongAPathReachesEveryVertex) {
   // must flip the entire alternation — the classic Theta(n) dependence
   // chain — and reactivating must restore it.
   const uint64_t n = 101;
-  DynamicMis dm(EngineOptions::with_order(
-      CsrGraph::from_edges(path_graph(n)), VertexOrder::identity(n)));
+  DynamicMis dm = identity_engine(CsrGraph::from_edges(path_graph(n)));
   for (VertexId v = 0; v < n; ++v) EXPECT_EQ(dm.in_set(v), v % 2 == 0);
   BatchStats stats = dm.apply_batch(UpdateBatch{}.deactivate(0));
   for (VertexId v = 1; v < n; ++v) EXPECT_EQ(dm.in_set(v), v % 2 == 1);
@@ -105,8 +120,7 @@ TEST(DynamicMis, CascadeAlongAPathReachesEveryVertex) {
 TEST(DynamicMis, LocalizedUpdateTouchesFewVertices) {
   // On a star, deleting one leaf edge only re-examines that leaf.
   const uint64_t n = 1'000;
-  DynamicMis dm(EngineOptions::with_order(
-      CsrGraph::from_edges(star_graph(n)), VertexOrder::identity(n)));
+  DynamicMis dm = identity_engine(CsrGraph::from_edges(star_graph(n)));
   ASSERT_TRUE(dm.in_set(0));
   const BatchStats stats = dm.apply_batch(UpdateBatch{}.delete_edge(0, 500));
   EXPECT_TRUE(dm.in_set(500));  // freed leaf joins
@@ -126,8 +140,7 @@ TEST(DynamicMis, IntraBatchPrecedenceInsertsWinActivationsWin) {
 }
 
 TEST(DynamicMis, EdgesInsertedAtInactiveVerticesWaitForActivation) {
-  DynamicMis dm(EngineOptions::with_order(
-      CsrGraph::from_edges(path_graph(3)), VertexOrder::identity(3)));
+  DynamicMis dm = identity_engine(CsrGraph::from_edges(path_graph(3)));
   dm.apply_batch(UpdateBatch{}.deactivate(0));
   // Edge stored, but 0 is not in the graph: 1's decision unaffected.
   dm.apply_batch(UpdateBatch{}.insert_edge(0, 2));
@@ -214,12 +227,6 @@ TEST(DynamicMis, StatsAccounting) {
 // --- Seeding rules ------------------------------------------------------
 // Every rule reads the pre-batch greedy state. Under the identity order
 // (vertex 0 first) that state can be read off the graph by hand.
-
-DynamicMis identity_engine(uint64_t n, std::vector<Edge> edges) {
-  return DynamicMis(EngineOptions::with_order(
-      CsrGraph::from_edges(EdgeList(n, std::move(edges))),
-      VertexOrder::identity(n)));
-}
 
 TEST(DynamicMisSeeds, InsertSeedsOnlyWhenBothEndpointsAreIn) {
   DynamicMis dm = identity_engine(6, {{0, 1}, {2, 3}});

@@ -1,8 +1,10 @@
 // Unit tests for the observability layer (src/obs/): histogram bucket
-// boundaries and percentile math, registry snapshot-under-mutation, span
-// nesting and cross-thread merge, and both halves of the PARGREEDY_OBS
+// boundaries and percentile math, registry snapshot-under-mutation, the
+// flight recorder's rings (spans and events, nesting, cross-thread merge,
+// correlation ids, wrap-around), and both halves of the PARGREEDY_OBS
 // seam (runtime switch here; the compile-time no-op TU is
-// test_obs_disabled_seam.cpp, linked into this binary).
+// test_obs_disabled_seam.cpp, linked into this binary). Tests share the
+// process-wide recorder and clear() it first.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
@@ -25,6 +27,7 @@
 #include "obs/obs.hpp"
 #include "obs/prometheus.hpp"
 #include "parallel/arch.hpp"
+#include "txn/transaction.hpp"
 
 namespace pargreedy::obs {
 
@@ -171,64 +174,196 @@ TEST(ObsRuntime, SwitchGatesMacros) {
 
 TEST(ObsRuntime, TracerRefusesWhenDisabled) {
   set_enabled(false);
-  EXPECT_FALSE(Tracer::global().start());
+  EXPECT_FALSE(arm_spans());
   set_enabled(true);
-  EXPECT_TRUE(Tracer::global().start());
-  Tracer::global().stop();
-  Tracer::global().clear();
+  EXPECT_TRUE(arm_spans());
+  EXPECT_TRUE(spans_armed());
+  disarm_spans();
+  EXPECT_FALSE(spans_armed());
+  EventRecorder::global().clear();
 }
 
 TEST(ObsTrace, SpanNestingAndThreadMerge) {
   set_enabled(true);
-  auto& tracer = Tracer::global();
-  tracer.clear();
-  ASSERT_TRUE(tracer.start());
+  auto& rec = EventRecorder::global();
+  rec.clear();
+  ASSERT_TRUE(arm_spans());
   {
-    TraceSpan outer("outer", "test", "depth", 0);
+    TraceSpan outer(EventKind::kApplyBatch, 8);
     {
-      TraceSpan inner("inner", "test", "depth", 1);
-      trace_instant("tick", "test", "n", 7);
+      TraceSpan inner(EventKind::kDecide, 1, 5);
+      record_event(EventKind::kReproRound, 5, 2);
     }
+    outer.set_arg1(3);
   }
-  std::thread worker([] {
-    TraceSpan span("worker_span", "test");
-  });
+  std::thread worker([] { TraceSpan span(EventKind::kCompact, 4, 0); });
   worker.join();
-  tracer.stop();
+  disarm_spans();
 
-  EXPECT_GE(tracer.event_count(), 4u);
+  // Each span is one record, written at open: outer, inner, the event,
+  // then the worker's span in its own ring.
+  const auto records = rec.merged();
+  ASSERT_EQ(records.size(), 4u);
+  const EventRecord& outer = records[0];
+  const EventRecord& inner = records[1];
+  EXPECT_EQ(outer.kind, static_cast<uint16_t>(EventKind::kApplyBatch));
+  EXPECT_EQ(outer.arg0, 8u);
+  EXPECT_EQ(outer.arg1, 3u);  // set_arg1() lands at close
+  EXPECT_EQ(inner.kind, static_cast<uint16_t>(EventKind::kDecide));
+  EXPECT_EQ(inner.arg1, 5u);
+  // RAII closed inner before outer: its interval nests in outer's.
+  EXPECT_LE(outer.ts_us, inner.ts_us);
+  EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us);
+  EXPECT_EQ(records[2].kind, static_cast<uint16_t>(EventKind::kReproRound));
+  EXPECT_EQ(records[2].dur_us, 0u);
+  const EventRecord& worker_span = records[3];
+  EXPECT_EQ(worker_span.kind, static_cast<uint16_t>(EventKind::kCompact));
+  EXPECT_NE(worker_span.tid, outer.tid);
+
+  MetricsRegistry::global().counter("test.trace.counter").add(2);
   std::ostringstream out;
-  tracer.write_chrome_trace(out);
+  rec.write_json(out);
   const std::string json = out.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  for (const char* name : {"outer", "inner", "tick", "worker_span"}) {
+  for (const char* name : {"apply_batch", "decide", "repro.round", "compact"}) {
     EXPECT_NE(json.find(std::string("\"name\": \"") + name + "\""),
               std::string::npos)
         << name;
   }
-  // The worker thread's buffer merged under its own tid with metadata.
-  EXPECT_NE(json.find("obs-thread-1"), std::string::npos);
-  // RAII closed inner before outer: both are complete events with args.
+  // The worker thread's ring merged under its own tid, with metadata.
+  EXPECT_NE(json.find("obs-thread-" + std::to_string(worker_span.tid)),
+            std::string::npos);
+  // Spans are complete events, events instants, both with named args.
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"depth\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
+  EXPECT_NE(json.find("\"round\": 1, \"frontier\": 5"), std::string::npos);
   // Registered counters ride along as Chrome "C" events.
-  EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
-  EXPECT_NE(json.find("trace.dropped"), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"test.trace.counter\", \"cat\": "
+                      "\"metrics\", \"ph\": \"C\""),
+            std::string::npos);
 
-  tracer.clear();
-  EXPECT_EQ(tracer.event_count(), 0u);
+  rec.clear();
+  EXPECT_EQ(rec.event_count(), 0u);
 }
 
 TEST(ObsTrace, InactiveSpansRecordNothing) {
   set_enabled(true);
-  auto& tracer = Tracer::global();
-  tracer.stop();
-  tracer.clear();
+  auto& rec = EventRecorder::global();
+  disarm_spans();
+  rec.clear();
   {
-    TraceSpan span("never_recorded", "test");
-    trace_instant("never_recorded_instant", "test");
+    TraceSpan span(EventKind::kDecide);
+    span.set_arg1(1);
   }
-  EXPECT_EQ(tracer.event_count(), 0u);
+  EXPECT_EQ(rec.event_count(), 0u);
+}
+
+// A span whose record the ring overwrote before the span closed leaves
+// the slot's new owner alone; one that survives gets its close fill.
+TEST(ObsTrace, SpanOverwrittenBeforeCloseSkipsFill) {
+  set_enabled(true);
+  auto& rec = EventRecorder::global();
+  rec.clear();
+  ASSERT_TRUE(arm_spans());
+  {
+    TraceSpan span(EventKind::kRepropagate, 7);
+    span.set_arg1(99);
+    for (std::size_t i = 0; i + 1 < EventRecorder::kRingCapacity; ++i)
+      rec.record(EventKind::kReproRound, i, 0);
+  }
+  auto records = rec.merged();
+  ASSERT_EQ(records.size(), EventRecorder::kRingCapacity);
+  EXPECT_EQ(records.front().kind,
+            static_cast<uint16_t>(EventKind::kRepropagate));
+  EXPECT_EQ(records.front().arg1, 99u);
+
+  rec.clear();
+  {
+    TraceSpan span(EventKind::kRepropagate, 7);
+    span.set_arg1(99);
+    for (std::size_t i = 0; i < EventRecorder::kRingCapacity; ++i)
+      rec.record(EventKind::kReproRound, i, 0);
+  }
+  disarm_spans();
+  EXPECT_EQ(rec.overwritten(), 1u);
+  records = rec.merged();
+  ASSERT_EQ(records.size(), EventRecorder::kRingCapacity);
+  for (const EventRecord& r : records) {
+    EXPECT_EQ(r.kind, static_cast<uint16_t>(EventKind::kReproRound));
+    EXPECT_EQ(r.arg1, 0u);
+    EXPECT_EQ(r.dur_us, 0u);
+  }
+  rec.clear();
+}
+
+// Every engine span carries the batch id of the apply_batch it runs in,
+// and every txn.* span the id of its transaction.
+TEST(ObsTrace, SpansCarryBatchAndTxnIds) {
+  set_enabled(true);
+  DynamicMis dm(
+      EngineOptions::seeded(CsrGraph::from_edges(path_graph(256)), 11));
+  MisTransaction txn(dm);
+  auto& rec = EventRecorder::global();
+  rec.clear();
+  ASSERT_TRUE(arm_spans());
+  UpdateBatch batch;
+  batch.insert_edge(0, 255).insert_edge(17, 200).delete_edge(10, 11);
+  txn.begin();
+  const EngineSnapshot start = txn.savepoint();
+  txn.apply(batch);
+  txn.rollback_to(start);
+  txn.apply(batch);
+  txn.commit();
+  UpdateBatch undo;
+  undo.delete_edge(0, 255);
+  txn.begin();
+  txn.apply(undo);
+  txn.abort();
+  disarm_spans();
+
+  std::vector<std::pair<EventKind, uint64_t>> txn_spans;
+  std::vector<uint64_t> batches;
+  uint64_t batch_id = 0;
+  for (const EventRecord& r : rec.merged()) {
+    const auto kind = static_cast<EventKind>(r.kind);
+    switch (kind) {
+      case EventKind::kBatchBegin:
+        EXPECT_EQ(r.batch_id, batch_id);
+        batches.push_back(r.batch_id);
+        break;
+      case EventKind::kApplyBatch:  // opens before kBatchBegin records
+        EXPECT_GT(r.batch_id, 0u);
+        batch_id = r.batch_id;
+        break;
+      case EventKind::kRepropagate:
+      case EventKind::kDecide:
+      case EventKind::kCommit:
+      case EventKind::kExpand:
+        EXPECT_EQ(r.batch_id, batch_id) << kind_info(kind).name;
+        break;
+      case EventKind::kTxnBeginSpan:
+      case EventKind::kTxnApplySpan:
+      case EventKind::kTxnRollbackToSpan:
+      case EventKind::kTxnCommitSpan:
+      case EventKind::kTxnAbortSpan:
+        txn_spans.emplace_back(kind, r.txn_id);
+        break;
+      default:
+        break;
+    }
+  }
+  // Three engine batches, each its own id.
+  ASSERT_EQ(batches.size(), 3u);
+  EXPECT_NE(batches[0], batches[1]);
+  EXPECT_NE(batches[1], batches[2]);
+  using K = EventKind;
+  const std::vector<std::pair<EventKind, uint64_t>> expected = {
+      {K::kTxnBeginSpan, 1},  {K::kTxnApplySpan, 1},
+      {K::kTxnRollbackToSpan, 1}, {K::kTxnApplySpan, 1},
+      {K::kTxnCommitSpan, 1}, {K::kTxnBeginSpan, 2},
+      {K::kTxnApplySpan, 2},  {K::kTxnAbortSpan, 2}};
+  EXPECT_EQ(txn_spans, expected);
+  rec.clear();
 }
 
 TEST(ObsLabels, LabeledNameCanonicalForm) {
@@ -302,7 +437,8 @@ TEST(ObsLabels, LabeledSnapshotUnderMutation) {
 
 TEST(ObsEvents, RingOverflowAccounting) {
   set_enabled(true);
-  static EventRecorder rec;  // static: thread ring caches outlive the test
+  auto& rec = EventRecorder::global();
+  rec.clear();
   constexpr std::size_t kOverflow = 37;
   for (std::size_t i = 0; i < EventRecorder::kRingCapacity + kOverflow; ++i)
     rec.record(EventKind::kReproRound, i, 0);
@@ -322,7 +458,7 @@ TEST(ObsEvents, RingOverflowAccounting) {
 
 TEST(ObsEvents, CorrelationScopesNestAndRestore) {
   set_enabled(true);
-  static EventRecorder rec;
+  auto& rec = EventRecorder::global();
   rec.clear();
   {
     BatchScope outer;
@@ -355,7 +491,7 @@ TEST(ObsEvents, CorrelationScopesNestAndRestore) {
 
 TEST(ObsEvents, JsonShape) {
   set_enabled(true);
-  static EventRecorder rec;
+  auto& rec = EventRecorder::global();
   rec.clear();
   {
     ShardScope shard(2);
@@ -365,15 +501,19 @@ TEST(ObsEvents, JsonShape) {
   std::ostringstream out;
   rec.write_json(out, "unit_test");
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"schema\": \"pargreedy-events-v1\""),
-            std::string::npos);
+  EXPECT_EQ(json.rfind("{\"traceEvents\": [", 0), 0u);
   EXPECT_NE(json.find("\"reason\": \"unit_test\""), std::string::npos);
   EXPECT_NE(json.find("\"overwritten\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"shard.exchange_round\""),
+  EXPECT_NE(json.find("\"name\": \"shard.exchange_round\", \"cat\": "
+                      "\"shard\", \"ph\": \"i\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"shard_id\": 2"), std::string::npos);
-  // The no-shard sentinel is emitted as -1, never as 2^32-1.
-  EXPECT_NE(json.find("\"shard_id\": -1"), std::string::npos);
+  // Correlation ids, then the kind's named args.
+  EXPECT_NE(json.find("\"shard_id\": 2, \"round\": 1, \"forcing\": 64"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"txn_id\": 0, \"explicit\": 1}"),
+            std::string::npos);
+  // Outside a shard scope a record carries no shard_id, never 2^32-1.
+  EXPECT_EQ(json.find("\"shard_id\""), json.rfind("\"shard_id\""));
   EXPECT_EQ(json.find(std::to_string(kNoShard)), std::string::npos);
   rec.clear();
 }
@@ -382,7 +522,7 @@ TEST(ObsEvents, JsonShape) {
 // keeps the first dump, and stop at kMaxFailureDumps files.
 TEST(ObsEvents, FailureDumpsAreNumberedAndCapped) {
   set_enabled(true);
-  static EventRecorder rec;
+  auto& rec = EventRecorder::global();
   std::string dir =
       (std::filesystem::temp_directory_path() / "pargreedy_events_XXXXXX")
           .string();
@@ -412,27 +552,34 @@ TEST(ObsEvents, FailureDumpsAreNumberedAndCapped) {
 TEST(ObsEvents, MergedStreamIsDeterministicAcrossWorkers) {
   set_enabled(true);
   // The engine-facing determinism contract: the flight-recorder stream
-  // for one deterministic workload is identical at any worker count
-  // (events record deterministic quantities from driver-synchronous
-  // code; merged() keeps per-ring recording order).
+  // of a committed transaction, spans included, is identical at any
+  // worker count (records carry deterministic quantities from
+  // driver-synchronous code; merged() keeps per-ring recording order).
+  ASSERT_TRUE(arm_spans());
   auto run = [](int workers) {
     ScopedNumWorkers guard(workers);
-    EventRecorder::global().clear();
     DynamicMis dm(EngineOptions::seeded(
         CsrGraph::from_edges(path_graph(256)), 11));
+    MisTransaction txn(dm);
+    EventRecorder::global().clear();
     UpdateBatch batch;
     batch.insert_edge(0, 255).insert_edge(17, 200).insert_edge(3, 128);
     batch.delete_edge(10, 11);
-    dm.apply_batch(batch);
+    txn.begin();
+    txn.apply(batch);
+    txn.commit();
     std::vector<std::tuple<uint16_t, uint64_t, uint64_t>> stream;
     for (const EventRecord& e : EventRecorder::global().merged())
       stream.emplace_back(e.kind, e.arg0, e.arg1);
     return stream;
   };
   const auto at1 = run(1);
-  EXPECT_FALSE(at1.empty());
+  EXPECT_TRUE(std::any_of(at1.begin(), at1.end(), [](const auto& r) {
+    return std::get<0>(r) == static_cast<uint16_t>(EventKind::kDecide);
+  }));
   EXPECT_EQ(run(2), at1);
   EXPECT_EQ(run(4), at1);
+  disarm_spans();
   EventRecorder::global().clear();
 }
 

@@ -67,6 +67,11 @@ TEST(PrioritySource, PolicyNamesAndAccessors) {
   EXPECT_TRUE(PrioritySource::edge_weight().is_weighted());
   EXPECT_TRUE(PrioritySource::weight_hash_tiebreak(3).is_weighted());
   EXPECT_EQ(PrioritySource().policy(), PriorityPolicy::kRandomHash);
+  // EngineOptions::seeded is random_hash(seed) behind an engine.
+  const DynamicMis seeded(EngineOptions::seeded(
+      CsrGraph::from_edges(random_graph_nm(60, 150, 3)), 5));
+  EXPECT_EQ(seeded.priority_source().policy(), PriorityPolicy::kRandomHash);
+  EXPECT_EQ(seeded.priority_source().seed(), 5u);
 }
 
 TEST(PrioritySource, ContextMismatchesAreRejected) {
@@ -189,22 +194,6 @@ TEST(WeightedOracles, MatchingAgreesWithSequentialOnMaterializedOrder) {
               mm_sequential(g, src.edge_order(g)).matched_with)
         << priority_policy_name(src.policy());
   }
-}
-
-TEST(PrioritySource, ExplicitOrderEngineReportsNoSource) {
-  const CsrGraph g = CsrGraph::from_edges(random_graph_nm(60, 150, 3));
-  const DynamicMis from_seed(EngineOptions::seeded(g, 5));
-  EXPECT_TRUE(from_seed.has_priority_source());
-  EXPECT_EQ(from_seed.priority_source().policy(),
-            PriorityPolicy::kRandomHash);
-  // An explicit VertexOrder is described by no policy — handing a default
-  // source to oracle code would silently compute the wrong solution, so
-  // the accessor refuses instead.
-  const DynamicMis from_order(EngineOptions::with_order(
-      g, VertexOrder::random(g.num_vertices(), 5)));
-  EXPECT_FALSE(from_order.has_priority_source());
-  EXPECT_THROW(static_cast<void>(from_order.priority_source()),
-               CheckFailure);
 }
 
 // ---- Orders at parallel sizes ---------------------------------------

@@ -227,7 +227,7 @@ class SimpleRulesTest(TempDirTest):
         self.assertTrue(all(x.rule == "obs-confined" for x in v))
 
     def test_obs_confined_exempts_obs_layer_and_timing(self):
-        self.write("src/obs/trace.cpp",
+        self.write("src/obs/events.cpp",
                    "auto t = std::chrono::steady_clock::now();\n")
         self.write("src/support/timing.hpp",
                    "using TimingClock = std::chrono::steady_clock;\n")

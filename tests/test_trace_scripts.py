@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Unit tests for scripts/validate_trace_json.py — the Chrome-trace
-validator guarding the CI bench-capture lane's trace artifacts. Invoked
-through CTest (stdlib unittest, no third-party dependencies).
+"""Unit tests for scripts/validate_trace_json.py — the validator guarding
+the CI bench-capture lane's flight-recorder artifacts (traces, event
+recordings, failure dumps). Invoked through CTest (stdlib unittest, no
+third-party dependencies).
 """
 import importlib.util
 import json
@@ -22,12 +23,16 @@ def load(name):
 validate = load("validate_trace_json")
 
 
-def span(name, cat="repro", ts=10, dur=5, args=None):
-    event = {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
-             "pid": 1, "tid": 0}
-    if args is not None:
-        event["args"] = args
-    return event
+def span(name, cat="repro", ts=10, dur=5, batch_id=1, txn_id=0, **args):
+    return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+            "pid": 1, "tid": 0,
+            "args": dict(batch_id=batch_id, txn_id=txn_id, **args)}
+
+
+def event(name, ts=10, batch_id=1, txn_id=0, **args):
+    return {"name": name, "cat": "engine", "ph": "i", "s": "t", "ts": ts,
+            "pid": 1, "tid": 0,
+            "args": dict(batch_id=batch_id, txn_id=txn_id, **args)}
 
 
 def counter(name, value, ts=100):
@@ -35,20 +40,26 @@ def counter(name, value, ts=100):
             "tid": 0, "args": {"value": value}}
 
 
-GOOD = {
-    "traceEvents": [
-        {"name": "process_name", "ph": "M", "ts": 0, "pid": 1, "tid": 0,
-         "args": {"name": "pargreedy"}},
-        span("decide", args={"round": 0, "frontier": 12}),
-        span("commit", args={"round": 0, "flipped": 3}),
-        span("expand"),
-        {"name": "tick", "cat": "repro", "ph": "i", "ts": 12, "pid": 1,
-         "tid": 0, "s": "t"},
-        counter("txn.abort", 4),
-        counter("trace.dropped", 0),
-    ],
-    "displayTimeUnit": "ms",
-}
+def doc(records, reason="on_demand", overwritten=0):
+    return {"traceEvents": records, "displayTimeUnit": "ms",
+            "reason": reason, "overwritten": overwritten}
+
+
+GOOD = doc([
+    {"name": "process_name", "ph": "M", "ts": 0, "pid": 1, "tid": 0,
+     "args": {"name": "pargreedy"}},
+    event("batch.begin", ts=1, batch_size=64),
+    span("decide", ts=2, round=1, frontier=12),
+    event("shard.exchange_round", ts=3, shard_id=0, round=1),
+    event("shard.exchange_round", ts=4, shard_id=1, round=1),
+    event("shard.exchange_round", ts=5, shard_id=2, round=1),
+    event("shard.exchange_round", ts=6, shard_id=3, round=1),
+    event("repro.round", ts=7, frontier=12, flipped=3),
+    span("commit", ts=8, round=1, flipped=3),
+    span("expand", ts=9),
+    event("batch.end", ts=10, rounds=2, changed=3),
+    counter("txn.abort", 4),
+])
 
 
 class TraceFileTest(unittest.TestCase):
@@ -57,9 +68,10 @@ class TraceFileTest(unittest.TestCase):
         self.dir = Path(self._tmp.name)
         self.addCleanup(self._tmp.cleanup)
 
-    def write(self, doc, name="TRACE_demo.json"):
+    def write(self, content, name="TRACE_demo.json"):
         path = self.dir / name
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        path.write_text(
+            content if isinstance(content, str) else json.dumps(content))
         return path
 
     def run_main(self, *argv):
@@ -77,42 +89,70 @@ class ValidateTraceJsonTest(TraceFileTest):
         self.assertEqual(self.run_main(self.write("{]")), 1)
 
     def test_top_level_list_fails(self):
-        # The tracer emits JSON *object* format; bare event arrays (also
+        # The recorder emits JSON *object* format; bare event arrays (also
         # legal Chrome input) are rejected so a writer regression shows.
         self.assertEqual(self.run_main(self.write(GOOD["traceEvents"])), 1)
 
     def test_empty_trace_events_fails(self):
-        self.assertEqual(self.run_main(self.write({"traceEvents": []})), 1)
+        self.assertEqual(self.run_main(self.write(doc([]))), 1)
+
+    def test_missing_reason_fails(self):
+        bad = dict(GOOD)
+        del bad["reason"]
+        self.assertEqual(self.run_main(self.write(bad)), 1)
+
+    def test_missing_overwritten_fails(self):
+        bad = dict(GOOD)
+        del bad["overwritten"]
+        self.assertEqual(self.run_main(self.write(bad)), 1)
+
+    def test_empty_name_fails(self):
+        self.assertEqual(self.run_main(self.write(doc([event("")]))), 1)
 
     def test_unknown_phase_fails(self):
-        bad = dict(GOOD, traceEvents=[dict(span("x"), ph="Z")])
+        bad = doc([dict(span("x"), ph="Z")])
         self.assertEqual(self.run_main(self.write(bad)), 1)
 
     def test_complete_event_without_dur_fails(self):
-        event = span("x")
-        del event["dur"]
-        bad = dict(GOOD, traceEvents=[event])
-        self.assertEqual(self.run_main(self.write(bad)), 1)
+        record = span("x")
+        del record["dur"]
+        self.assertEqual(self.run_main(self.write(doc([record]))), 1)
 
     def test_negative_ts_fails(self):
-        bad = dict(GOOD, traceEvents=[span("x", ts=-1)])
+        self.assertEqual(self.run_main(self.write(doc([span("x", ts=-1)]))), 1)
+
+    def test_decreasing_timestamps_fail(self):
+        bad = doc([event("a", ts=5), event("b", ts=4)])
         self.assertEqual(self.run_main(self.write(bad)), 1)
 
     def test_counter_without_value_fails(self):
-        event = counter("c", 1)
-        event["args"] = {}
-        bad = dict(GOOD, traceEvents=[event])
-        self.assertEqual(self.run_main(self.write(bad)), 1)
+        record = counter("c", 1)
+        record["args"] = {}
+        self.assertEqual(self.run_main(self.write(doc([record]))), 1)
 
     def test_boolean_args_fail(self):
-        bad = dict(GOOD, traceEvents=[span("x", args={"flag": True})])
-        self.assertEqual(self.run_main(self.write(bad)), 1)
+        self.assertEqual(
+            self.run_main(self.write(doc([span("x", flag=True)]))), 1)
+        self.assertEqual(
+            self.run_main(self.write(doc([event("x", batch_id=True)]))), 1)
+
+    def test_record_without_correlation_ids_fails(self):
+        for record in (span("x"), event("x")):
+            del record["args"]["txn_id"]
+            self.assertEqual(self.run_main(self.write(doc([record]))), 1)
+
+    def test_negative_shard_fails(self):
+        # Outside a shard scope a record carries no shard_id at all.
+        self.assertEqual(
+            self.run_main(self.write(doc([event("x", shard_id=-1)]))), 1)
 
     def test_require_satisfied_passes(self):
         path = self.write(GOOD)
         self.assertEqual(
             self.run_main(path, "--require", "decide,commit,expand"), 0)
-        self.assertEqual(self.run_main(path, "--require", "txn.abort"), 0)
+        self.assertEqual(
+            self.run_main(path, "--require",
+                          "batch.begin,repro.round,batch.end,txn.abort"), 0)
 
     def test_require_missing_name_fails(self):
         self.assertEqual(
@@ -120,11 +160,26 @@ class ValidateTraceJsonTest(TraceFileTest):
 
     def test_require_applies_to_every_file(self):
         # txn.abort occurs in GOOD but not in a second counter-free file.
-        other = dict(GOOD, traceEvents=[span("decide")])
+        other = doc([span("decide")])
         self.assertEqual(
             self.run_main(self.write(GOOD),
                           self.write(other, "TRACE_other.json"),
                           "--require", "txn.abort"), 1)
+
+    def test_require_chain_satisfied_passes(self):
+        self.assertEqual(
+            self.run_main(self.write(GOOD), "--require-chain", "4"), 0)
+
+    def test_require_chain_too_wide_fails(self):
+        self.assertEqual(
+            self.run_main(self.write(GOOD), "--require-chain", "5"), 1)
+
+    def test_require_chain_ignores_unbatched_records(self):
+        # shard context without a batch id is not a correlated chain.
+        loose = doc([event("x", batch_id=0, shard_id=s, ts=s)
+                     for s in range(4)])
+        self.assertEqual(
+            self.run_main(self.write(loose), "--require-chain", "2"), 1)
 
     def test_one_bad_file_fails_the_set(self):
         self.assertEqual(
@@ -136,6 +191,10 @@ class ValidateTraceJsonTest(TraceFileTest):
 
     def test_require_without_argument_is_usage_error(self):
         self.assertEqual(self.run_main(self.write(GOOD), "--require"), 2)
+
+    def test_require_chain_non_integer_is_usage_error(self):
+        self.assertEqual(
+            self.run_main(self.write(GOOD), "--require-chain", "wide"), 2)
 
 
 if __name__ == "__main__":

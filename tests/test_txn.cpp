@@ -61,11 +61,9 @@ MisState capture(const DynamicMis& dm) {
   s.active.resize(dm.num_vertices());
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
     s.active[v] = dm.active(v) ? 1 : 0;
-  if (dm.has_priority_source()) {
-    s.keys.resize(dm.num_vertices());
-    for (VertexId v = 0; v < dm.num_vertices(); ++v)
-      s.keys[v] = dm.cached_vertex_key(v);
-  }
+  s.keys.resize(dm.num_vertices());
+  for (VertexId v = 0; v < dm.num_vertices(); ++v)
+    s.keys[v] = dm.cached_vertex_key(v);
   s.order_ranks.assign(dm.order().ranks().begin(), dm.order().ranks().end());
   s.lifetime = dm.lifetime_stats();
   return s;
