@@ -2,7 +2,7 @@
 """Validate the flight recorder's Chrome trace_event JSON exports.
 
 Usage: validate_trace_json.py FILE [FILE ...]
-           [--require NAME[,NAME...]] [--require-chain N]
+           [--require NAME[@PH][,NAME[@PH]...]] [--require-chain N]
 
 Each FILE must be a Chrome trace_event "JSON object format" document as
 emitted by pargreedy's obs::EventRecorder (docs/OBSERVABILITY.md), for
@@ -22,11 +22,17 @@ every export (TRACE_*.json, EVENTS_*.json, failure dumps):
   * "C" (counter) records carry args.value as a non-negative integer;
   * "args", when present, is an object with int-or-string values.
 
---require NAME[,NAME...] additionally demands that every listed record
-name occurs somewhere in each file — the CI bench-capture lane uses it
-to pin the per-round decide/commit/expand spans, the txn.abort counter
-and the repropagation and exchange events, so an instrumentation
-regression fails the lane instead of shipping a hollow recording.
+--require NAME[@PH][,...] additionally demands that every listed record
+occurs somewhere in each file — the CI bench-capture lane uses it to
+pin the per-round decide/commit/expand spans, the txn.abort counter and
+the repropagation, transaction and exchange events, so an
+instrumentation regression fails the lane instead of shipping a hollow
+recording. NAME@X, NAME@i and NAME@C demand a span, an event or a
+counter of that name; a bare NAME is met by a span or an event, never by
+a counter. Pin the phase of a shared name: txn.begin, txn.commit and
+txn.abort each name a span, an event and a counter (every export
+carries one counter record per registered counter), and a requirement
+that another phase can meet still passes with its site deleted.
 
 --require-chain N demands that some single batch_id's records span at
 least N distinct args.shard_id values — the machine check that one
@@ -41,6 +47,10 @@ import sys
 from pathlib import Path
 
 VALID_PHASES = {"X", "i", "C", "M"}
+# What each --require phase suffix demands ("" = no suffix).
+REQUIRE_PHASES = {"": ("X", "i"), "X": ("X",), "i": ("i",), "C": ("C",)}
+PHASE_WORDS = {"": "span or event", "X": "span", "i": "event",
+               "C": "counter"}
 
 
 def _nonneg_int(value) -> bool:
@@ -92,8 +102,9 @@ def validate_event(event, where: str) -> list[str]:
     return errors
 
 
-def validate_file(path: Path, required: list[str], chain: int):
-    """(errors, record count) for one trace file."""
+def validate_file(path: Path, required: list[tuple[str, str]], chain: int):
+    """(errors, record count) for one trace file; `required` holds
+    (name, phase suffix) pairs."""
     if not path.is_file():
         return [f"{path}: missing (recorder did not export)"], 0
     try:
@@ -110,7 +121,7 @@ def validate_file(path: Path, required: list[str], chain: int):
     events = doc.get("traceEvents")
     if not isinstance(events, list) or not events:
         return errors + [f"{path}: 'traceEvents' must be a non-empty list"], 0
-    seen_names = set()
+    seen = set()  # (name, ph) of every record
     shards_per_batch = {}
     last_ts = 0
     for i, event in enumerate(events):
@@ -118,7 +129,7 @@ def validate_file(path: Path, required: list[str], chain: int):
         if not isinstance(event, dict):
             continue
         if isinstance(event.get("name"), str):
-            seen_names.add(event["name"])
+            seen.add((event["name"], event.get("ph")))
         ts = event.get("ts")
         if _nonneg_int(ts):
             if ts < last_ts:
@@ -130,9 +141,10 @@ def validate_file(path: Path, required: list[str], chain: int):
             batch, shard = args.get("batch_id"), args.get("shard_id")
             if _nonneg_int(batch) and batch > 0 and _nonneg_int(shard):
                 shards_per_batch.setdefault(batch, set()).add(shard)
-    for name in required:
-        if name not in seen_names:
-            errors.append(f"{path}: required event name {name!r} never occurs")
+    for name, phase in required:
+        if not any((name, ph) in seen for ph in REQUIRE_PHASES[phase]):
+            errors.append(f"{path}: required {PHASE_WORDS[phase]} {name!r} "
+                          f"never occurs")
     if chain > 0:
         widest = max((len(s) for s in shards_per_batch.values()), default=0)
         if widest < chain:
@@ -151,7 +163,14 @@ def main(argv: list[str]) -> int:
             if not args:
                 print("error: --require needs an argument", file=sys.stderr)
                 return 2
-            required += [n for n in args.pop(0).split(",") if n]
+            for item in filter(None, args.pop(0).split(",")):
+                name, at, phase = item.partition("@")
+                if (not name or phase not in REQUIRE_PHASES
+                        or (at and not phase)):
+                    print(f"error: --require {item!r}: expected NAME, "
+                          f"NAME@X, NAME@i or NAME@C", file=sys.stderr)
+                    return 2
+                required.append((name, phase))
         elif arg == "--require-chain":
             if not args:
                 print("error: --require-chain needs an argument",

@@ -88,7 +88,7 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
   // The engine is the overlay's writer for the scope of this batch.
   support::RoleScope overlay_writer(graph_.writer_role_);
   PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or a sharded driver's
-  PG_OBS_SPAN1(span_batch, kApplyBatch, batch.size());
+  PG_OBS_SPAN1(span_batch, kApplyBatchMis, batch.size());
   PG_OBS_EVENT1(kBatchBegin, batch.size());
   const uint64_t n = num_vertices();
   PG_CHECK_MSG(batch.endpoints_in_range(n), "batch references vertex >= n");

@@ -57,7 +57,8 @@ constexpr KindInfo kKinds[] = {
     {"shard.cert_fail", "shard", {"round", nullptr}, false},
     {"shard.arbitrate", "shard", {"soft_cap", nullptr}, false},
     {"events.dump", "obs", {nullptr, nullptr}, false},
-    {"apply_batch", "engine", {"batch_size", "rounds"}, true},
+    {"apply_batch", "mis", {"batch_size", "rounds"}, true},
+    {"apply_batch", "matching", {"batch_size", "rounds"}, true},
     {"repropagate", "repro", {"seeds", "rounds"}, true},
     {"decide", "repro", {"round", "frontier"}, true},
     {"commit", "repro", {"round", "flipped"}, true},

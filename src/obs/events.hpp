@@ -83,7 +83,8 @@ enum class EventKind : uint16_t {
                       ///< certificate failure: 0)
   kDump,              ///< a failure dump was requested (marks the dump point)
   // Spans: one record per scope while spans are armed.
-  kApplyBatch,        ///< engine apply_batch (batch_size, rounds)
+  kApplyBatchMis,     ///< DynamicMis::apply_batch (batch_size, rounds)
+  kApplyBatchMm,      ///< DynamicMatching::apply_batch (same args)
   kRepropagate,       ///< one repropagate() call (seeds, rounds)
   kDecide,            ///< a round's decide phase (round, frontier)
   kCommit,            ///< a round's commit phase (round, flipped)

@@ -189,7 +189,7 @@ TEST(ObsTrace, SpanNestingAndThreadMerge) {
   rec.clear();
   ASSERT_TRUE(arm_spans());
   {
-    TraceSpan outer(EventKind::kApplyBatch, 8);
+    TraceSpan outer(EventKind::kApplyBatchMis, 8);
     {
       TraceSpan inner(EventKind::kDecide, 1, 5);
       record_event(EventKind::kReproRound, 5, 2);
@@ -206,7 +206,7 @@ TEST(ObsTrace, SpanNestingAndThreadMerge) {
   ASSERT_EQ(records.size(), 4u);
   const EventRecord& outer = records[0];
   const EventRecord& inner = records[1];
-  EXPECT_EQ(outer.kind, static_cast<uint16_t>(EventKind::kApplyBatch));
+  EXPECT_EQ(outer.kind, static_cast<uint16_t>(EventKind::kApplyBatchMis));
   EXPECT_EQ(outer.arg0, 8u);
   EXPECT_EQ(outer.arg1, 3u);  // set_arg1() lands at close
   EXPECT_EQ(inner.kind, static_cast<uint16_t>(EventKind::kDecide));
@@ -233,6 +233,12 @@ TEST(ObsTrace, SpanNestingAndThreadMerge) {
   // The worker thread's ring merged under its own tid, with metadata.
   EXPECT_NE(json.find("obs-thread-" + std::to_string(worker_span.tid)),
             std::string::npos);
+  // The category names the engine an apply_batch (and every round
+  // nested in it) belongs to.
+  EXPECT_NE(json.find("\"name\": \"apply_batch\", \"cat\": \"mis\""),
+            std::string::npos);
+  EXPECT_STREQ(kind_info(EventKind::kApplyBatchMm).name, "apply_batch");
+  EXPECT_STREQ(kind_info(EventKind::kApplyBatchMm).cat, "matching");
   // Spans are complete events, events instants, both with named args.
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
@@ -297,8 +303,8 @@ TEST(ObsTrace, SpanOverwrittenBeforeCloseSkipsFill) {
 }
 
 // Every engine span carries the batch id of the apply_batch it runs in,
-// and every txn.* span the id of its transaction.
-TEST(ObsTrace, SpansCarryBatchAndTxnIds) {
+// and every txn.* span and event the id of its transaction.
+TEST(ObsTrace, RecordsCarryBatchAndTxnIds) {
   set_enabled(true);
   DynamicMis dm(
       EngineOptions::seeded(CsrGraph::from_edges(path_graph(256)), 11));
@@ -321,7 +327,7 @@ TEST(ObsTrace, SpansCarryBatchAndTxnIds) {
   txn.abort();
   disarm_spans();
 
-  std::vector<std::pair<EventKind, uint64_t>> txn_spans;
+  std::vector<std::pair<EventKind, uint64_t>> txn_records;
   std::vector<uint64_t> batches;
   uint64_t batch_id = 0;
   for (const EventRecord& r : rec.merged()) {
@@ -331,7 +337,7 @@ TEST(ObsTrace, SpansCarryBatchAndTxnIds) {
         EXPECT_EQ(r.batch_id, batch_id);
         batches.push_back(r.batch_id);
         break;
-      case EventKind::kApplyBatch:  // opens before kBatchBegin records
+      case EventKind::kApplyBatchMis:  // opens before kBatchBegin records
         EXPECT_GT(r.batch_id, 0u);
         batch_id = r.batch_id;
         break;
@@ -341,12 +347,15 @@ TEST(ObsTrace, SpansCarryBatchAndTxnIds) {
       case EventKind::kExpand:
         EXPECT_EQ(r.batch_id, batch_id) << kind_info(kind).name;
         break;
+      case EventKind::kTxnBegin:
+      case EventKind::kTxnCommit:
+      case EventKind::kTxnAbort:
       case EventKind::kTxnBeginSpan:
       case EventKind::kTxnApplySpan:
       case EventKind::kTxnRollbackToSpan:
       case EventKind::kTxnCommitSpan:
       case EventKind::kTxnAbortSpan:
-        txn_spans.emplace_back(kind, r.txn_id);
+        txn_records.emplace_back(kind, r.txn_id);
         break;
       default:
         break;
@@ -358,11 +367,13 @@ TEST(ObsTrace, SpansCarryBatchAndTxnIds) {
   EXPECT_NE(batches[1], batches[2]);
   using K = EventKind;
   const std::vector<std::pair<EventKind, uint64_t>> expected = {
-      {K::kTxnBeginSpan, 1},  {K::kTxnApplySpan, 1},
-      {K::kTxnRollbackToSpan, 1}, {K::kTxnApplySpan, 1},
+      {K::kTxnBeginSpan, 1},  {K::kTxnBegin, 1},
+      {K::kTxnApplySpan, 1},  {K::kTxnRollbackToSpan, 1},
+      {K::kTxnApplySpan, 1},  {K::kTxnCommit, 1},
       {K::kTxnCommitSpan, 1}, {K::kTxnBeginSpan, 2},
-      {K::kTxnApplySpan, 2},  {K::kTxnAbortSpan, 2}};
-  EXPECT_EQ(txn_spans, expected);
+      {K::kTxnBegin, 2},      {K::kTxnApplySpan, 2},
+      {K::kTxnAbort, 2},      {K::kTxnAbortSpan, 2}};
+  EXPECT_EQ(txn_records, expected);
   rec.clear();
 }
 

@@ -152,7 +152,8 @@ class ValidateTraceJsonTest(TraceFileTest):
             self.run_main(path, "--require", "decide,commit,expand"), 0)
         self.assertEqual(
             self.run_main(path, "--require",
-                          "batch.begin,repro.round,batch.end,txn.abort"), 0)
+                          "batch.begin@i,repro.round,batch.end,txn.abort@C"),
+            0)
 
     def test_require_missing_name_fails(self):
         self.assertEqual(
@@ -164,7 +165,32 @@ class ValidateTraceJsonTest(TraceFileTest):
         self.assertEqual(
             self.run_main(self.write(GOOD),
                           self.write(other, "TRACE_other.json"),
-                          "--require", "txn.abort"), 1)
+                          "--require", "txn.abort@C"), 1)
+
+    def test_bare_require_is_not_met_by_a_counter(self):
+        # Every export carries a counter per registered counter; the
+        # txn.begin counter alone must not stand in for the event.
+        only_counter = self.write(doc([counter("txn.begin", 3)]))
+        self.assertEqual(self.run_main(only_counter, "--require",
+                                       "txn.begin"), 1)
+        self.assertEqual(self.run_main(only_counter, "--require",
+                                       "txn.begin@C"), 0)
+
+    def test_require_pins_the_phase(self):
+        # A txn.commit span and counter without the txn.commit event.
+        path = self.write(doc([span("txn.commit", cat="txn", txn_id=1),
+                               counter("txn.commit", 1)]))
+        self.assertEqual(self.run_main(path, "--require", "txn.commit@i"), 1)
+        self.assertEqual(self.run_main(path, "--require", "txn.commit@X"), 0)
+        self.assertEqual(self.run_main(path, "--require", "txn.commit"), 0)
+        only_event = self.write(doc([event("txn.commit", txn_id=1)]),
+                                "TRACE_event.json")
+        self.assertEqual(
+            self.run_main(only_event, "--require", "txn.commit@X"), 1)
+        self.assertEqual(
+            self.run_main(only_event, "--require", "txn.commit@C"), 1)
+        self.assertEqual(
+            self.run_main(only_event, "--require", "txn.commit@i"), 0)
 
     def test_require_chain_satisfied_passes(self):
         self.assertEqual(
@@ -191,6 +217,11 @@ class ValidateTraceJsonTest(TraceFileTest):
 
     def test_require_without_argument_is_usage_error(self):
         self.assertEqual(self.run_main(self.write(GOOD), "--require"), 2)
+
+    def test_require_unknown_phase_is_usage_error(self):
+        for item in ("decide@Q", "decide@", "@X"):
+            self.assertEqual(
+                self.run_main(self.write(GOOD), "--require", item), 2, item)
 
     def test_require_chain_non_integer_is_usage_error(self):
         self.assertEqual(
