@@ -115,7 +115,7 @@ void run_mis(const bench::Workload& w, uint64_t seed) {
     MisResult full;
     const double full_s = time_best_of(bench::timing_reps(), [&] {
       const CsrGraph h = dm.active_subgraph();
-      full = mis_rootset(h, dm.order());
+      full = mis_rootset(h, dm.vertex_order_for(h));
     });
     PG_CHECK(full.in_set == dm.solution());
     const double avg_update_s = update_s / kBatchesPerSize;

@@ -160,7 +160,7 @@ void run_mis(const bench::Workload& w, uint64_t seed) {
       "mis: " + w.name, engine,
       [&] {
         const CsrGraph h = engine.active_subgraph();
-        const MisResult full = mis_rootset(h, engine.order());
+        const MisResult full = mis_rootset(h, engine.vertex_order_for(h));
         PG_CHECK(full.in_set.size() == h.num_vertices());
       },
       seed);

@@ -132,11 +132,12 @@ int cmd_serve() {
 
     if (tick % 5 == 0) {
       Timer audit_timer;
-      // mis.order() re-materializes pi lazily after vertex reweights; the
-      // snapshot carries the reweighted values, so both audits recompute
-      // from the engines' own state alone.
+      // The snapshot carries the reweighted values, and both orders are
+      // built from it, so both audits recompute from the engines' own
+      // state alone.
       const CsrGraph h = mis.active_subgraph();
-      std::vector<uint8_t> expect = mis_sequential(h, mis.order()).in_set;
+      std::vector<uint8_t> expect =
+          mis_sequential(h, mis.vertex_order_for(h)).in_set;
       for (VertexId v = 0; v < g_n; ++v)
         if (!mis.active(v)) expect[v] = 0;
       const bool mis_ok = mis.solution() == expect;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "parallel/parallel_for.hpp"
@@ -103,17 +104,12 @@ Order sorted_order(uint64_t count, const KeyOf& key_of) {
 }  // namespace
 
 VertexOrder PrioritySource::vertex_order(const CsrGraph& g) const {
-  return vertex_order(g.num_vertices(), g.vertex_weights());
-}
-
-VertexOrder PrioritySource::vertex_order(
-    uint64_t n, std::span<const Weight> weights) const {
+  const uint64_t n = g.num_vertices();
   // The hash policy reuses VertexOrder::random — same (hash, id) sort, and
   // keeping one code path guarantees the engines' historical orders.
   if (policy_ == PriorityPolicy::kRandomHash)
     return VertexOrder::random(n, seed_);
-  PG_CHECK_MSG(weights.empty() || weights.size() == n,
-               "weight array size != vertex count");
+  const std::span<const Weight> weights = g.vertex_weights();
   // Checked here, not by the first key inside a parallel sorting pass.
   PG_CHECK_MSG(policy_ != PriorityPolicy::kEdgeWeight,
                "edge_weight policy has no vertex priorities");

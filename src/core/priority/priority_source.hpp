@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/matching/edge_order.hpp"
@@ -131,12 +130,6 @@ class PrioritySource {
   /// weights for the weighted policies). For kRandomHash this is exactly
   /// VertexOrder::random(n, seed).
   [[nodiscard]] VertexOrder vertex_order(const CsrGraph& g) const;
-
-  /// Same order from a bare weight array (empty = all kDefaultWeight) —
-  /// no graph needed. The dynamic MIS engine rebuilds its materialized pi
-  /// from this after vertex reweights change priority keys.
-  [[nodiscard]] VertexOrder vertex_order(
-      uint64_t n, std::span<const Weight> weights) const;
 
   /// Materializes the total edge order for g (reading g's edge weights
   /// for the weighted policies).

@@ -32,10 +32,6 @@
 //   with_source(g, src)    pi / edge keys derived from the PrioritySource
 //                          policy (weighted greedy under the weight
 //                          policies).
-//
-// compaction_threshold mirrors set_compaction_threshold(): the overlay
-// fraction above which apply_batch folds deltas into the base CSR
-// (<= 0 disables; default 0.5).
 #pragma once
 
 #include <concepts>
@@ -62,9 +58,6 @@ struct EngineOptions {
   /// options struct is still valid.
   PrioritySource source = PrioritySource::random_hash(0);
 
-  /// Overlay fraction above which apply_batch compacts; <= 0 disables.
-  double compaction_threshold = 0.5;
-
   /// Random-hash priorities from `seed` — the historical `(graph, seed)`
   /// constructor, bit for bit.
   [[nodiscard]] static EngineOptions seeded(CsrGraph graph, uint64_t seed) {
@@ -83,19 +76,13 @@ struct EngineOptions {
     opts.source = std::move(source);
     return opts;
   }
-
-  /// Fluent compaction knob: `EngineOptions::seeded(g, s).compaction(0.1)`.
-  [[nodiscard]] EngineOptions&& compaction(double fraction) && {
-    compaction_threshold = fraction;
-    return std::move(*this);
-  }
 };
 
-/// The operations the generic layers (Transaction, ShardedEngine, the
-/// repro adapters) rely on. Both engines model this; engine_traits.hpp
-/// carries the static_asserts. The writer-role requirements on the
-/// mutators are invisible here (requires-expressions are unevaluated) but
-/// still enforced at every real call site by -Wthread-safety.
+/// The operations the generic layers (Transaction, ShardedEngine) rely
+/// on. Both engines model this; engine_traits.hpp carries the
+/// static_asserts. The writer-role requirements on the mutators are
+/// invisible here (requires-expressions are unevaluated) but still
+/// enforced at every real call site by -Wthread-safety.
 template <typename E>
 concept DynamicEngineApi =
     std::constructible_from<E, EngineOptions> &&

@@ -106,9 +106,8 @@ struct EngineUndoRecord {
     kDecision,  ///< solution bit flipped; old value in `flag`
     kActive,    ///< activity bit flipped; old value in `flag`
     kKey,       ///< cached priority key refreshed; old words in a/b
-                ///< (DynamicMis marks its materialized order stale after
-                ///< replaying any of these — no per-record flag needed)
-    kGrowth,    ///< per-slot arrays grew; old size in `item`, undo shrinks
+    kGrowth,    ///< per-item arrays grew; old size in `item`, undo shrinks
+                ///< (only DynamicMatching's slot arrays grow)
   };
 
   Kind kind;
@@ -154,8 +153,8 @@ class EngineJournal {
 };
 
 /// The pair of journals a transaction attaches to one engine
-/// (DynamicMis::txn_attach / DynamicMatching::txn_attach). The engine
-/// forwards `overlay` to its OverlayGraph and writes `engine` itself.
+/// (GreedyEngine::txn_attach). The engine forwards `overlay` to its
+/// OverlayGraph and writes `engine` itself.
 struct TxnJournal {
   EngineJournal engine;
   OverlayJournal overlay;

@@ -10,10 +10,12 @@
 // gives every kind its name, category and argument names, and one writer
 // (write_json()) renders the merged rings as Chrome trace_event JSON —
 // on demand (`dynamic_service stats --trace-out/--events-out`, bench
-// capture) or on failure paths (engine epoch-guard throws, matching
-// certificate arbitration, exchange divergence) via dump_failure() when
-// PARGREEDY_EVENTS_DIR is set, numbered per process and capped at
-// kMaxFailureDumps files.
+// capture) or on failure paths, right before they throw (engine
+// epoch-guard, a matching certificate still violated after arbitration,
+// exchange divergence), via dump_failure() when PARGREEDY_EVENTS_DIR is
+// set, numbered per process and capped at kMaxFailureDumps files.
+// Arbitration itself is the exchange's designed slow path, not a failure:
+// its shard.arbitrate event marks it, and it dumps nothing.
 //
 // Two kinds of record share the rings:
 //   * events (PG_OBS_EVENT*) record whenever obs::enabled(); the JSON

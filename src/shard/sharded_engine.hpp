@@ -616,7 +616,6 @@ class ShardedEngine {
         if (any && !arbitrated && ex.rounds > soft_cap) {
           arbitrated = true;
           PG_OBS_EVENT1(kArbitrate, 1);
-          PG_OBS_EVENT_DUMP("softcap_arbitration");
           arbitrate(savepoints, ex, seeds_per_shard, retries_per_shard);
           std::fill(forced.begin(), forced.end(), uint8_t{1});
           continue;
@@ -643,7 +642,6 @@ class ShardedEngine {
                        "priority-order arbitration");
           arbitrated = true;
           PG_OBS_EVENT1(kArbitrate, 0);
-          PG_OBS_EVENT_DUMP("certificate_arbitration");
           arbitrate(savepoints, ex, seeds_per_shard, retries_per_shard);
           std::fill(forced.begin(), forced.end(), uint8_t{1});
           continue;

@@ -115,7 +115,7 @@ TEST_P(DynamicDifferential, MisMatchesFromScratchAfterEveryBatch) {
   // Half the instances compact aggressively so the fold-back path is
   // fuzzed too; the other half never compact.
   dm.set_compaction_threshold(seed() % 2 == 0 ? 0.02 : 0.0);
-  ASSERT_EQ(dm.solution(), mis_sequential(g, dm.order()).in_set);
+  ASSERT_EQ(dm.solution(), mis_sequential(g, dm.vertex_order_for(g)).in_set);
 
   ObsCounterOracle obs_oracle;
   for (uint64_t round = 0; round < kBatchesPerInstance; ++round) {
@@ -123,7 +123,8 @@ TEST_P(DynamicDifferential, MisMatchesFromScratchAfterEveryBatch) {
         make_batch(g.num_vertices(), dm.graph().live_edge_list().edges(),
                    round)));
     const CsrGraph h = dm.active_subgraph();
-    std::vector<uint8_t> expect = mis_sequential(h, dm.order()).in_set;
+    std::vector<uint8_t> expect =
+        mis_sequential(h, dm.vertex_order_for(h)).in_set;
     for (VertexId v = 0; v < dm.num_vertices(); ++v)
       if (!dm.active(v)) expect[v] = 0;
     ASSERT_EQ(dm.solution(), expect)

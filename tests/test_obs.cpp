@@ -62,7 +62,9 @@ TEST(ObsHistogram, BucketUpperBoundaries) {
   for (uint64_t v : {0ull, 1ull, 2ull, 3ull, 5ull, 100ull, 4096ull}) {
     const int b = Histogram::bucket_index(v);
     EXPECT_LE(v, Histogram::bucket_upper(b)) << v;
-    if (b > 0) EXPECT_GT(v, Histogram::bucket_upper(b - 1)) << v;
+    if (b > 0) {
+      EXPECT_GT(v, Histogram::bucket_upper(b - 1)) << v;
+    }
   }
 }
 

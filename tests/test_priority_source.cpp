@@ -271,7 +271,9 @@ TEST_P(OrderAtScale, VertexOrderMatchesStdSort) {
                      : PrioritySource::vertex_weight();
     w = shape_weights(n, s.levels, 67);
   }
-  const VertexOrder got = src.vertex_order(n, w);
+  CsrGraph g = CsrGraph::from_edges(EdgeList(n));
+  if (!w.empty()) g.set_vertex_weights(w);
+  const VertexOrder got = src.vertex_order(g);
   expect_order(got, reference_order(n, [&](uint32_t v) {
                  return src.vertex_key(v, w.empty() ? kDefaultWeight : w[v]);
                }));

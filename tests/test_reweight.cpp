@@ -102,14 +102,15 @@ TEST(ReweightNoOp, SameWeightReweightIsSkippedEntirely) {
 /// After any reweight traffic the maintained MIS must equal the weighted
 /// sequential oracle recomputed from the engine's own snapshot (which
 /// carries the updated weights), and mis_sequential under the engine's
-/// lazily re-materialized order() must agree too.
+/// vertex_order_for() of that snapshot must agree too.
 void expect_mis_exact(const DynamicMis& dm, const PrioritySource& src) {
   const CsrGraph h = dm.active_subgraph();
   std::vector<uint8_t> expect = mis_weighted_sequential(h, src).in_set;
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
     if (!dm.active(v)) expect[v] = 0;
   ASSERT_EQ(dm.solution(), expect);
-  std::vector<uint8_t> via_order = mis_sequential(h, dm.order()).in_set;
+  std::vector<uint8_t> via_order =
+      mis_sequential(h, dm.vertex_order_for(h)).in_set;
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
     if (!dm.active(v)) via_order[v] = 0;
   ASSERT_EQ(dm.solution(), via_order);

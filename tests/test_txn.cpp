@@ -38,7 +38,7 @@ namespace {
 
 /// Everything the abort-equivalence criterion compares for DynamicMis:
 /// live graph (canonical CSR incl. weights), solution, activity, cached
-/// priority keys, materialized order, lifetime stats.
+/// priority keys (which pin the priority order), lifetime stats.
 struct MisState {
   std::vector<Edge> edges;
   std::vector<Weight> edge_weights;
@@ -46,7 +46,6 @@ struct MisState {
   std::vector<uint8_t> solution;
   std::vector<uint8_t> active;
   std::vector<PriorityKey> keys;
-  std::vector<uint32_t> order_ranks;
   BatchStats lifetime;
 };
 
@@ -63,8 +62,7 @@ MisState capture(const DynamicMis& dm) {
     s.active[v] = dm.active(v) ? 1 : 0;
   s.keys.resize(dm.num_vertices());
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
-    s.keys[v] = dm.cached_vertex_key(v);
-  s.order_ranks.assign(dm.order().ranks().begin(), dm.order().ranks().end());
+    s.keys[v] = dm.cached_key(v);
   s.lifetime = dm.lifetime_stats();
   return s;
 }
@@ -77,7 +75,6 @@ void expect_state_eq(const MisState& a, const MisState& b,
   EXPECT_EQ(a.solution, b.solution);
   EXPECT_EQ(a.active, b.active);
   EXPECT_EQ(a.keys, b.keys);
-  EXPECT_EQ(a.order_ranks, b.order_ranks);
   if (compare_lifetime) {
     EXPECT_EQ(a.lifetime, b.lifetime);
   }
@@ -111,7 +108,7 @@ MmState capture(const DynamicMatching& dm) {
   for (EdgeSlot slot = 0; slot < dm.graph().slot_bound(); ++slot)
     if (dm.graph().slot_live(slot))
       s.keys.emplace_back(dm.graph().slot_edge(slot),
-                          dm.cached_slot_key(slot));
+                          dm.cached_key(slot));
   std::sort(s.keys.begin(), s.keys.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
   s.matched = dm.matched_edges();
@@ -717,6 +714,62 @@ TEST(TxnMatching, OracleExactnessAfterCommitAndAbort) {
 }
 
 // --- the overlay journal on its own ---------------------------------
+
+// --- the txn_* seams themselves, on both engines ---------------------
+
+/// Transaction only ever calls the seams in order; these cases call them
+/// directly, once per engine.
+template <typename Engine>
+class TxnSeams : public ::testing::Test {
+ protected:
+  Engine engine{EngineOptions::with_source(
+      weighted_graph(250, 1000, 41), PrioritySource::weight_hash_tiebreak(43))};
+};
+using SeamEngines = ::testing::Types<DynamicMis, DynamicMatching>;
+TYPED_TEST_SUITE(TxnSeams, SeamEngines);
+
+TYPED_TEST(TxnSeams, MisuseThrows) {
+  TypeParam& dm = this->engine;
+  support::RoleScope writer(dm.writer_role_);
+  TxnJournal journal;
+  EXPECT_THROW(dm.txn_detach(), CheckFailure);
+  EXPECT_THROW((void)dm.txn_mark(), CheckFailure);
+  EXPECT_THROW(dm.txn_rollback(TxnMark{}), CheckFailure);
+  EXPECT_THROW(dm.txn_attach(nullptr), CheckFailure);
+
+  dm.txn_attach(&journal);
+  EXPECT_THROW(dm.txn_attach(&journal), CheckFailure);
+  dm.apply_batch(mixed_batch(dm.graph(), 10, 1600));
+  TxnMark past = dm.txn_mark();
+  ++past.engine_records;
+  EXPECT_THROW(dm.txn_rollback(past), CheckFailure);
+  dm.txn_detach();
+  EXPECT_THROW(dm.txn_detach(), CheckFailure);
+}
+
+TYPED_TEST(TxnSeams, RollbackRestoresSolutionEpochAndLifetimeStats) {
+  TypeParam& dm = this->engine;
+  support::RoleScope writer(dm.writer_role_);
+  dm.apply_batch(mixed_batch(dm.graph(), 10, 1610));
+  const auto solution = dm.solution();
+  const uint64_t epoch = dm.epoch();
+  const BatchStats lifetime = dm.lifetime_stats();
+
+  TxnJournal journal;
+  dm.txn_attach(&journal);
+  const TxnMark mark = dm.txn_mark();
+  for (uint64_t i = 0; i < 3; ++i)
+    dm.apply_batch(mixed_batch(dm.graph(), 20, 1611 + i));
+  EXPECT_NE(dm.solution(), solution);
+  EXPECT_NE(dm.epoch(), epoch);
+  dm.txn_rollback(mark);
+  dm.txn_detach();
+
+  EXPECT_EQ(dm.solution(), solution);
+  EXPECT_EQ(dm.epoch(), epoch);
+  EXPECT_EQ(dm.lifetime_stats(), lifetime);
+  EXPECT_EQ(journal.engine.size(), mark.engine_records);
+}
 
 TEST(OverlayJournal, UndoRestoresStructureWeightsAndEpoch) {
   CsrGraph g = CsrGraph::from_edges(random_graph_nm(60, 150, 40));

@@ -144,7 +144,7 @@ EngineState capture(const DynamicMis& dm) {
   s.solution.assign(sol.begin(), sol.end());
   s.vertex_keys.resize(dm.num_vertices());
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
-    s.vertex_keys[v] = dm.cached_vertex_key(v);
+    s.vertex_keys[v] = dm.cached_key(v);
   return s;
 }
 
@@ -156,7 +156,7 @@ EngineState capture(const DynamicMatching& dm) {
   for (EdgeSlot slot = 0; slot < dm.graph().slot_bound(); ++slot)
     if (dm.graph().slot_live(slot))
       s.edge_keys.emplace_back(dm.graph().slot_edge(slot),
-                               dm.cached_slot_key(slot));
+                               dm.cached_key(slot));
   std::sort(s.edge_keys.begin(), s.edge_keys.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return s;
@@ -164,7 +164,8 @@ EngineState capture(const DynamicMatching& dm) {
 
 void oracle_audit(const DynamicMis& dm) {
   const CsrGraph h = dm.active_subgraph();
-  std::vector<uint8_t> expect = mis_sequential(h, dm.order()).in_set;
+  std::vector<uint8_t> expect =
+      mis_sequential(h, dm.vertex_order_for(h)).in_set;
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
     if (!dm.active(v)) expect[v] = 0;
   ASSERT_EQ(dm.solution(), expect);
