@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
       std::vector<uint8_t> in_set;
     } runs[] = {
         {"sequential (Alg 1)", mis_sequential(g, pi).in_set},
-        {"naive parallel (Alg 2)", mis_parallel_naive(g, pi).in_set},
         {"rootset (Lemma 4.2)", mis_rootset(g, pi).in_set},
         {"prefix w=64 (Alg 3)", mis_prefix(g, pi, 64).in_set},
         {"prefix w=n/50", mis_prefix(g, pi, n / 50 + 1).in_set},

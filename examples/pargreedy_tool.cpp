@@ -158,7 +158,8 @@ int cmd_mis(const Options& o) {
   MisResult r;
   if (o.algo == "prefix") r = mis_prefix(g, pi, window);
   else if (o.algo == "rootset") r = mis_rootset(g, pi);
-  else if (o.algo == "naive") r = mis_parallel_naive(g, pi);
+  // Algorithm 2 is the prefix kernel with the whole graph as its window.
+  else if (o.algo == "naive") r = mis_prefix(g, pi, g.num_vertices());
   else if (o.algo == "seq") r = mis_sequential(g, pi);
   else if (o.algo == "luby") r = luby_mis(g, o.seed);
   else usage("unknown MIS algorithm " + o.algo);

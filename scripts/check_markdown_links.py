@@ -10,6 +10,9 @@ match a heading in the target document, slugified the way GitHub does it
 (lowercase; spaces to dashes; punctuation dropped; duplicate slugs get
 -1, -2, ... suffixes).
 
+A tracked file deleted from the working tree (not yet staged) is reported
+and skipped; a link to it still fails as broken.
+
 Usage: scripts/check_markdown_links.py [repo_root]
 Exit status: 0 when all links resolve, 1 otherwise.
 """
@@ -24,12 +27,16 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 
 
-def tracked_markdown_files(root: Path) -> list[Path]:
+def tracked_markdown_files(root: Path) -> tuple[list[Path], list[Path]]:
+    """The tracked markdown files present in the working tree, and the
+    tracked ones missing from it."""
     out = subprocess.run(
         ["git", "ls-files", "*.md", "**/*.md"],
         cwd=root, capture_output=True, text=True, check=True,
     ).stdout
-    return [root / line for line in out.splitlines() if line]
+    paths = [root / line for line in out.splitlines() if line]
+    return ([p for p in paths if p.is_file()],
+            [p for p in paths if not p.is_file()])
 
 
 def strip_code_blocks(text: str) -> str:
@@ -79,9 +86,12 @@ def heading_anchors(md_path: Path, cache: dict) -> set:
 
 
 def main() -> int:
-    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path.cwd()
+    root = (Path(sys.argv[1]) if len(sys.argv) > 1 else Path.cwd()).resolve()
     failures = []
-    files = tracked_markdown_files(root)
+    files, missing = tracked_markdown_files(root)
+    for md in missing:
+        print(f"{md.relative_to(root)}: tracked but missing from the working "
+              f"tree; skipped")
     anchor_cache: dict = {}
     checked = 0
     for md in files:

@@ -34,7 +34,9 @@ uint64_t longest_priority_path(const CsrGraph& g, const VertexOrder& order) {
 }
 
 uint64_t dependence_length(const CsrGraph& g, const VertexOrder& order) {
-  const MisResult r = mis_parallel_naive(g, order, ProfileLevel::kCounters);
+  // Algorithm 3 with the whole graph as its window is Algorithm 2.
+  const MisResult r =
+      mis_prefix(g, order, g.num_vertices(), ProfileLevel::kCounters);
   return r.profile.steps;
 }
 

@@ -38,7 +38,8 @@ std::vector<uint32_t> priority_path_lengths(const CsrGraph& g,
                                             const VertexOrder& order);
 
 /// The dependence length: number of iterations of Algorithm 2, measured by
-/// running the step-synchronous implementation.
+/// running it step-synchronously (mis_prefix with the whole graph as its
+/// window).
 uint64_t dependence_length(const CsrGraph& g, const VertexOrder& order);
 
 /// All statistics at once.

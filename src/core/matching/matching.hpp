@@ -16,6 +16,11 @@
 //   mm_prefix           prefix-based speculative window with endpoint
 //                       reservations (deterministic reservations, the
 //                       implementation measured in Section 6 / Figure 2).
+//                       At window m it takes mm_parallel_naive's step
+//                       count, plus one round when the last step drops
+//                       edges: an edge next to a new match resolves Out in
+//                       the next round's reserve phase, one round after
+//                       the naive kill phase drops it.
 //
 // All of them return the same matching as mm_sequential for a fixed
 // EdgeOrder, at any worker count.
@@ -61,12 +66,6 @@ MatchResult mm_rootset(const CsrGraph& g, const EdgeOrder& order,
 MatchResult mm_prefix(const CsrGraph& g, const EdgeOrder& order,
                       uint64_t prefix_size,
                       ProfileLevel level = ProfileLevel::kNone);
-
-/// Algorithm 4 expressed through the generic deterministic-reservations
-/// engine (speculative_for). Identical result to mm_sequential; round
-/// counts may differ from mm_prefix (see mm_specfor.cpp).
-MatchResult mm_speculative(const CsrGraph& g, const EdgeOrder& order,
-                           uint64_t prefix_size);
 
 /// Weighted greedy matching oracle: a deliberately independent sequential
 /// implementation that processes edges directly by the source's priority

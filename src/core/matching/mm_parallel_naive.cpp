@@ -5,30 +5,14 @@
 // edge leave (phase B). The step count is the dependence length of the
 // *edge* priority DAG — the quantity Lemma 5.1 bounds via the reduction to
 // MIS on the line graph, without ever building that line graph.
-#include <atomic>
-
 #include "core/matching/matching.hpp"
+#include "parallel/atomics.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
-
-namespace {
-
-inline EStatus load_status(const std::vector<uint8_t>& status, EdgeId e) {
-  return static_cast<EStatus>(
-      std::atomic_ref<const uint8_t>(status[e]).load(
-          std::memory_order_relaxed));
-}
-
-inline void store_status(std::vector<uint8_t>& status, EdgeId e, EStatus s) {
-  std::atomic_ref<uint8_t>(status[e]).store(static_cast<uint8_t>(s),
-                                            std::memory_order_relaxed);
-}
-
-}  // namespace
 
 MatchResult mm_parallel_naive(const CsrGraph& g, const EdgeOrder& order,
                               ProfileLevel level) {
@@ -65,7 +49,7 @@ MatchResult mm_parallel_naive(const CsrGraph& g, const EdgeOrder& order,
           for_each_adjacent(e, [&](EdgeId f) {
             if (!order.earlier(f, e)) return true;
             ++scanned;
-            if (load_status(status, f) != EStatus::kOut) {
+            if (load_status<EStatus>(status, f) != EStatus::kOut) {
               all_out = false;
               return false;  // stop scanning
             }
@@ -83,11 +67,12 @@ MatchResult mm_parallel_naive(const CsrGraph& g, const EdgeOrder& order,
         0, sz, 0,
         [&](int64_t i) {
           const EdgeId e = active[static_cast<std::size_t>(i)];
-          if (load_status(status, e) != EStatus::kUndecided) return int64_t{0};
+          if (load_status<EStatus>(status, e) != EStatus::kUndecided)
+            return int64_t{0};
           int64_t scanned = 0;
           for_each_adjacent(e, [&](EdgeId f) {
             ++scanned;
-            if (load_status(status, f) == EStatus::kIn) {
+            if (load_status<EStatus>(status, f) == EStatus::kIn) {
               store_status(status, e, EStatus::kOut);
               return false;
             }
@@ -99,7 +84,8 @@ MatchResult mm_parallel_naive(const CsrGraph& g, const EdgeOrder& order,
 
     const std::vector<EdgeId> next =
         pack(std::span<const EdgeId>(active), [&](int64_t i) {
-          return load_status(status, active[static_cast<std::size_t>(i)]) ==
+          return load_status<EStatus>(
+                     status, active[static_cast<std::size_t>(i)]) ==
                  EStatus::kUndecided;
         });
     if (level != ProfileLevel::kNone) {
@@ -117,14 +103,8 @@ MatchResult mm_parallel_naive(const CsrGraph& g, const EdgeOrder& order,
   }
   prof.steps = prof.rounds;
 
-  // Collapse tri-state to 0/1 and fill the per-vertex partner map.
-  parallel_for(0, static_cast<int64_t>(m), [&](int64_t e) {
-    status[static_cast<std::size_t>(e)] =
-        status[static_cast<std::size_t>(e)] ==
-                static_cast<uint8_t>(EStatus::kIn)
-            ? 1
-            : 0;
-  });
+  collapse_status(status, EStatus::kIn);
+  // Fill the per-vertex partner map.
   parallel_for(0, static_cast<int64_t>(m), [&](int64_t ei) {
     if (!status[static_cast<std::size_t>(ei)]) return;
     const Edge ed = g.edge(static_cast<EdgeId>(ei));

@@ -32,17 +32,6 @@ namespace {
 
 constexpr uint32_t kFreeSlot = 0xffffffffu;
 
-inline EStatus load_status(const std::vector<uint8_t>& status, EdgeId e) {
-  return static_cast<EStatus>(
-      std::atomic_ref<const uint8_t>(status[e]).load(
-          std::memory_order_relaxed));
-}
-
-inline void store_status(std::vector<uint8_t>& status, EdgeId e, EStatus s) {
-  std::atomic_ref<uint8_t>(status[e]).store(static_cast<uint8_t>(s),
-                                            std::memory_order_relaxed);
-}
-
 }  // namespace
 
 MatchResult mm_prefix(const CsrGraph& g, const EdgeOrder& order,
@@ -92,7 +81,7 @@ MatchResult mm_prefix(const CsrGraph& g, const EdgeOrder& order,
     // Commit phase.
     parallel_for(0, sz, [&](int64_t i) {
       const EdgeId e = active[static_cast<std::size_t>(i)];
-      if (load_status(status, e) != EStatus::kUndecided) return;
+      if (load_status<EStatus>(status, e) != EStatus::kUndecided) return;
       const Edge ed = g.edge(e);
       const uint32_t r = order.rank(e);
       const bool won_u =
@@ -113,7 +102,8 @@ MatchResult mm_prefix(const CsrGraph& g, const EdgeOrder& order,
 
     std::vector<EdgeId> failed =
         pack(std::span<const EdgeId>(active), [&](int64_t i) {
-          return load_status(status, active[static_cast<std::size_t>(i)]) ==
+          return load_status<EStatus>(
+                     status, active[static_cast<std::size_t>(i)]) ==
                  EStatus::kUndecided;
         });
     if (level != ProfileLevel::kNone) {
@@ -131,14 +121,7 @@ MatchResult mm_prefix(const CsrGraph& g, const EdgeOrder& order,
   }
   prof.steps = prof.rounds;
 
-  // Collapse the tri-state status array to 0/1 membership.
-  parallel_for(0, static_cast<int64_t>(m), [&](int64_t e) {
-    status[static_cast<std::size_t>(e)] =
-        status[static_cast<std::size_t>(e)] ==
-                static_cast<uint8_t>(EStatus::kIn)
-            ? 1
-            : 0;
-  });
+  collapse_status(status, EStatus::kIn);
   return result;
 }
 

@@ -17,6 +17,7 @@
 #include <atomic>
 
 #include "core/matching/matching.hpp"
+#include "parallel/atomics.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/scan.hpp"
@@ -209,14 +210,7 @@ MatchResult mm_rootset(const CsrGraph& g, const EdgeOrder& order,
   prof.rounds = steps;
   prof.steps = steps;
 
-  // Collapse the tri-state status array to 0/1 membership.
-  parallel_for(0, static_cast<int64_t>(m), [&](int64_t e) {
-    status[static_cast<std::size_t>(e)] =
-        status[static_cast<std::size_t>(e)] ==
-                static_cast<uint8_t>(EStatus::kIn)
-            ? 1
-            : 0;
-  });
+  collapse_status(status, EStatus::kIn);
   return result;
 }
 

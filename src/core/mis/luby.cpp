@@ -12,31 +12,14 @@
 // processes the entire input as a prefix [with] reassigning the priorities
 // of vertices between rounds"). Deterministic in the seed: priorities are
 // counter-based hashes of (seed, round, vertex).
-#include <atomic>
-
 #include "core/mis/mis.hpp"
+#include "parallel/atomics.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/reduce.hpp"
 #include "random/hash.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
-
-namespace {
-
-inline VStatus load_status(const std::vector<uint8_t>& status, VertexId v) {
-  return static_cast<VStatus>(
-      std::atomic_ref<const uint8_t>(status[v]).load(
-          std::memory_order_relaxed));
-}
-
-inline void store_status(std::vector<uint8_t>& status, VertexId v,
-                         VStatus s) {
-  std::atomic_ref<uint8_t>(status[v]).store(static_cast<uint8_t>(s),
-                                            std::memory_order_relaxed);
-}
-
-}  // namespace
 
 MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
   const uint64_t n = g.num_vertices();
@@ -71,7 +54,7 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
           int64_t scanned = 0;
           bool is_min = true;
           for (VertexId w : g.neighbors(v)) {
-            if (load_status(status, w) == VStatus::kOut) continue;
+            if (load_status<VStatus>(status, w) == VStatus::kOut) continue;
             ++scanned;
             const uint64_t pw = priority(w);
             if (pw < pv || (pw == pv && w < v)) {
@@ -89,11 +72,12 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
         0, sz, 0,
         [&](int64_t i) {
           const VertexId v = live[static_cast<std::size_t>(i)];
-          if (load_status(status, v) != VStatus::kUndecided) return int64_t{0};
+          if (load_status<VStatus>(status, v) != VStatus::kUndecided)
+            return int64_t{0};
           int64_t scanned = 0;
           for (VertexId w : g.neighbors(v)) {
             ++scanned;
-            if (load_status(status, w) == VStatus::kIn) {
+            if (load_status<VStatus>(status, w) == VStatus::kIn) {
               store_status(status, v, VStatus::kOut);
               break;
             }
@@ -104,7 +88,8 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
 
     const std::vector<VertexId> next =
         pack(std::span<const VertexId>(live), [&](int64_t i) {
-          return load_status(status, live[static_cast<std::size_t>(i)]) ==
+          return load_status<VStatus>(
+                     status, live[static_cast<std::size_t>(i)]) ==
                  VStatus::kUndecided;
         });
     if (level != ProfileLevel::kNone) {
@@ -123,13 +108,7 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
   prof.rounds = round;
   prof.steps = round;
 
-  parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
-    status[static_cast<std::size_t>(v)] =
-        status[static_cast<std::size_t>(v)] ==
-                static_cast<uint8_t>(VStatus::kIn)
-            ? 1
-            : 0;
-  });
+  collapse_status(status, VStatus::kIn);
   return result;
 }
 

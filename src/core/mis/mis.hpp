@@ -1,25 +1,27 @@
 // Maximal independent set — the paper's primary contribution (Sections 3–4).
 //
-// Five interchangeable implementations:
+// The implementations:
 //
 //   mis_sequential       Algorithm 1: the greedy loop. O(n + m) work,
 //                        Theta(n) depth. Defines the lexicographically-first
 //                        MIS for ordering pi.
-//   mis_parallel_naive   Algorithm 2 run step-synchronously over the whole
-//                        graph: every undecided vertex re-examined each
-//                        step. O(m * D) work where D is the dependence
-//                        length; the baseline the paper calls "naive".
-//   mis_rootset          Algorithm 2 in O(n + m) work via explicit root
-//                        sets, lazy deletion and misCheck (Lemma 4.2).
 //   mis_prefix           Algorithm 3: speculative processing of a sliding
 //                        prefix window of the ordering; the work/parallelism
 //                        trade-off knob of the paper's experiments
 //                        (Section 6). prefix_size = 1 degenerates to the
-//                        sequential algorithm, prefix_size = n to the naive
-//                        parallel one.
+//                        sequential algorithm; prefix_size = n IS
+//                        Algorithm 2 run step-synchronously (the paper's
+//                        "naive" parallel version: every undecided vertex
+//                        re-examined each step, O(m * D) work for
+//                        dependence length D, and D rounds).
+//   mis_rootset          Algorithm 2 in O(n + m) work via explicit root
+//                        sets, lazy deletion and misCheck (Lemma 4.2).
 //   luby_mis             Luby's Algorithm A: re-randomizes priorities every
 //                        round; the classic parallel baseline of Figure 3.
 //                        NOT lexicographically-first (different result).
+//                        luby_mis_arrays is its array-based formulation;
+//                        Figure 3 reports the faster of the two, as the
+//                        paper does.
 //
 // All greedy variants return *identical* results for the same VertexOrder,
 // at any worker count — the determinism property the paper argues for.
@@ -55,17 +57,14 @@ struct MisResult {
 MisResult mis_sequential(const CsrGraph& g, const VertexOrder& order,
                          ProfileLevel level = ProfileLevel::kNone);
 
-/// Algorithm 2, step-synchronous over all vertices. The number of steps it
-/// takes equals the dependence length of the priority DAG (Section 3).
-MisResult mis_parallel_naive(const CsrGraph& g, const VertexOrder& order,
-                             ProfileLevel level = ProfileLevel::kNone);
-
 /// Algorithm 2 in linear work via root sets and misCheck (Lemma 4.2).
 MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
                       ProfileLevel level = ProfileLevel::kNone);
 
 /// Algorithm 3: prefix-based speculative execution with a window of
-/// `prefix_size` vertices (clamped to [1, n]).
+/// `prefix_size` vertices (clamped to [1, n]). At prefix_size = n it is
+/// Algorithm 2, and its round count is the dependence length of the
+/// priority DAG (Section 3).
 MisResult mis_prefix(const CsrGraph& g, const VertexOrder& order,
                      uint64_t prefix_size,
                      ProfileLevel level = ProfileLevel::kNone);
@@ -83,12 +82,6 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed,
 /// paper's "we tried different implementations of Luby's algorithm".
 MisResult luby_mis_arrays(const CsrGraph& g, uint64_t seed,
                           ProfileLevel level = ProfileLevel::kNone);
-
-/// Algorithm 3 expressed through the generic deterministic-reservations
-/// engine (speculative_for). Identical result to mis_sequential; round
-/// counts may differ from mis_prefix (see mis_specfor.cpp).
-MisResult mis_speculative(const CsrGraph& g, const VertexOrder& order,
-                          uint64_t prefix_size);
 
 /// Weighted greedy MIS oracle: a deliberately independent sequential
 /// implementation that selects vertices directly by the source's priority

@@ -32,9 +32,8 @@
 // is sealed. So the result equals mis_sequential's for any schedule and
 // worker count. The paper's grain size of 256 (kDefaultGrain) governs when
 // the window loop parallelizes.
-#include <atomic>
-
 #include "core/mis/mis.hpp"
+#include "parallel/atomics.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/reduce.hpp"
 #include "support/check.hpp"
@@ -42,18 +41,6 @@
 namespace pargreedy {
 
 namespace {
-
-inline VStatus load_status(const std::vector<uint8_t>& status, VertexId v) {
-  return static_cast<VStatus>(
-      std::atomic_ref<const uint8_t>(status[v]).load(
-          std::memory_order_relaxed));
-}
-
-inline void store_status(std::vector<uint8_t>& status, VertexId v,
-                         VStatus s) {
-  std::atomic_ref<uint8_t>(status[v]).store(static_cast<uint8_t>(s),
-                                            std::memory_order_relaxed);
-}
 
 /// The round loop, templated on the priority comparator so the identity
 /// fast path compiles to a plain id comparison. `earlier(w, v)` must
@@ -83,7 +70,7 @@ void run_prefix_rounds(const CsrGraph& g, const VertexOrder& order,
           for (VertexId w : g.neighbors(v)) {
             if (!earlier(w, v)) continue;
             ++scanned;
-            if (load_status(status, w) != VStatus::kOut) {
+            if (load_status<VStatus>(status, w) != VStatus::kOut) {
               all_out = false;
               break;
             }
@@ -98,12 +85,13 @@ void run_prefix_rounds(const CsrGraph& g, const VertexOrder& order,
         0, sz, 0,
         [&](int64_t i) {
           const VertexId v = active[static_cast<std::size_t>(i)];
-          if (load_status(status, v) != VStatus::kUndecided) return int64_t{0};
+          if (load_status<VStatus>(status, v) != VStatus::kUndecided)
+            return int64_t{0};
           int64_t scanned = 0;
           for (VertexId w : g.neighbors(v)) {
             if (!earlier(w, v)) continue;
             ++scanned;
-            if (load_status(status, w) == VStatus::kIn) {
+            if (load_status<VStatus>(status, w) == VStatus::kIn) {
               store_status(status, v, VStatus::kOut);
               break;
             }
@@ -114,7 +102,8 @@ void run_prefix_rounds(const CsrGraph& g, const VertexOrder& order,
 
     std::vector<VertexId> failed =
         pack(std::span<const VertexId>(active), [&](int64_t i) {
-          return load_status(status, active[static_cast<std::size_t>(i)]) ==
+          return load_status<VStatus>(
+                     status, active[static_cast<std::size_t>(i)]) ==
                  VStatus::kUndecided;
         });
     if (level != ProfileLevel::kNone) {
@@ -126,6 +115,10 @@ void run_prefix_rounds(const CsrGraph& g, const VertexOrder& order,
             static_cast<uint64_t>(sz) - failed.size(), work_a + work_b});
       }
     }
+    // The window's earliest vertex has only decided earlier neighbors, so
+    // it always resolves; a round that resolves nothing is a broken order.
+    PG_CHECK_MSG(failed.size() < active.size(),
+                 "no progress in a round: priority DAG is inconsistent");
     // Refill the window with the next vertices of the ordering. The window
     // invariant — it holds the `window` earliest unresolved vertices — is
     // what lets phase A treat "no earlier Undecided in sight" as "no
@@ -161,13 +154,7 @@ MisResult mis_prefix(const CsrGraph& g, const VertexOrder& order,
                       });
   }
 
-  parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
-    status[static_cast<std::size_t>(v)] =
-        status[static_cast<std::size_t>(v)] ==
-                static_cast<uint8_t>(VStatus::kIn)
-            ? 1
-            : 0;
-  });
+  collapse_status(status, VStatus::kIn);
   return result;
 }
 

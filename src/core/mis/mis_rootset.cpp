@@ -27,12 +27,6 @@ namespace pargreedy {
 
 namespace {
 
-inline VStatus load_status(const std::vector<uint8_t>& status, VertexId v) {
-  return static_cast<VStatus>(
-      std::atomic_ref<const uint8_t>(status[v]).load(
-          std::memory_order_relaxed));
-}
-
 /// CAS Undecided -> `to`; true iff this caller performed the transition.
 inline bool claim_status(std::vector<uint8_t>& status, VertexId v,
                          VStatus to) {
@@ -97,9 +91,7 @@ MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
     //    between two roots would make the later one still have an
     //    undecided parent.)
     parallel_for(0, num_roots, [&](int64_t i) {
-      std::atomic_ref<uint8_t>(status[roots[static_cast<std::size_t>(i)]])
-          .store(static_cast<uint8_t>(VStatus::kIn),
-                 std::memory_order_relaxed);
+      store_status(status, roots[static_cast<std::size_t>(i)], VStatus::kIn);
     });
 
     // 2. Remove the roots' undecided neighbors (claimed exactly once).
@@ -155,7 +147,7 @@ MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
       for (VertexId x : g.neighbors(w)) {
         const Offset slot = at++;
         if (!order.earlier(w, x)) continue;              // only children
-        if (load_status(status, x) != VStatus::kUndecided) continue;
+        if (load_status<VStatus>(status, x) != VStatus::kUndecided) continue;
         // Claim the misCheck of x for this step.
         uint64_t seen = claim_stamp[x].load(std::memory_order_relaxed);
         if (seen == step) continue;
@@ -168,7 +160,7 @@ MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
         const Offset end = parent_offset[static_cast<std::size_t>(x) + 1];
         uint64_t advanced = 0;
         while (cur < end &&
-               load_status(status, parents[cur]) == VStatus::kOut) {
+               load_status<VStatus>(status, parents[cur]) == VStatus::kOut) {
           ++cur;
           ++advanced;
         }
@@ -199,14 +191,7 @@ MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
   prof.rounds = step;
   prof.steps = step;
 
-  // Collapse tri-state to 0/1 membership.
-  parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
-    status[static_cast<std::size_t>(v)] =
-        status[static_cast<std::size_t>(v)] ==
-                static_cast<uint8_t>(VStatus::kIn)
-            ? 1
-            : 0;
-  });
+  collapse_status(status, VStatus::kIn);
   return result;
 }
 

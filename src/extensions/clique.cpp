@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "parallel/atomics.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
@@ -155,11 +156,7 @@ CliqueResult greedy_clique_prefix(const CsrGraph& g, const VertexOrder& order,
   prof.rounds = round;
   prof.steps = round;
 
-  // Collapse the tri-state array to 0/1 membership.
-  parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
-    status[static_cast<std::size_t>(v)] =
-        status[static_cast<std::size_t>(v)] == 1 ? 1 : 0;
-  });
+  collapse_status(status, uint8_t{1});
   return result;
 }
 

@@ -5,9 +5,12 @@
 // `window_size` earliest unresolved iterations, and run reserve/commit
 // rounds until the window drains. This is the pattern of the paper's
 // companion PPoPP'12 framework [2] ("Internally deterministic parallel
-// algorithms can be fast"), which the experiments in Section 6 build on;
-// the extensions (spanning forest, coloring — the paper's suggested future
-// work) are expressed directly against it.
+// algorithms can be fast"), which the experiments in Section 6 build on.
+// Its users are the extensions (spanning forest, coloring — the paper's
+// suggested future work). The core MIS and matching kernels do not run on
+// it: mis_prefix and mm_prefix keep two barrier-separated phases per round,
+// so their round counts depend only on the input, where this engine's
+// single commit phase lets a commit observe a same-round commit.
 //
 // Step concept:
 //   struct Step {

@@ -45,7 +45,6 @@ TEST_P(DeterminismAcrossWidths, EveryMisVariantIsByteIdenticalEverywhere) {
     ScopedNumWorkers guard(workers);
     const std::vector<std::vector<uint8_t>> results = {
         mis_sequential(f.g, f.vorder).in_set,
-        mis_parallel_naive(f.g, f.vorder).in_set,
         mis_rootset(f.g, f.vorder).in_set,
         mis_prefix(f.g, f.vorder, 1).in_set,
         mis_prefix(f.g, f.vorder, 64).in_set,

@@ -1,13 +1,15 @@
-// Integration tests for the three parallel MIS implementations (Algorithm 2
-// naive and rootset, Algorithm 3 prefix): each must return *exactly* the
-// sequential greedy MIS for the same ordering — the paper's determinism
-// promise — at every worker count and prefix size.
+// Integration tests for the parallel MIS implementations (Algorithm 2 as
+// the rootset kernel and as the full-window prefix run, Algorithm 3 prefix):
+// each must return *exactly* the sequential greedy MIS for the same
+// ordering — the paper's determinism promise — at every worker count and
+// prefix size.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/analysis/priority_dag.hpp"
 #include "core/mis/mis.hpp"
 #include "core/mis/verify.hpp"
 #include "generators/generators.hpp"
@@ -37,12 +39,18 @@ using Params = std::tuple<std::string, uint64_t>;  // family, seed
 class MisVariants : public ::testing::TestWithParam<Params> {};
 
 TEST_P(MisVariants, NaiveEqualsSequential) {
+  // Algorithm 2 run step-synchronously is the prefix kernel at window n.
+  // Its steps must be the rootset kernel's: both peel one root set of the
+  // priority DAG per step.
   const auto& [fam, seed] = GetParam();
   const CsrGraph g = CsrGraph::from_edges(family(fam, seed));
   const VertexOrder order = VertexOrder::random(g.num_vertices(), seed + 100);
   const MisResult expect = mis_sequential(g, order);
-  const MisResult got = mis_parallel_naive(g, order);
+  const MisResult got =
+      mis_prefix(g, order, g.num_vertices(), ProfileLevel::kCounters);
   EXPECT_EQ(got.in_set, expect.in_set);
+  EXPECT_EQ(got.profile.steps,
+            mis_rootset(g, order, ProfileLevel::kCounters).profile.steps);
 }
 
 TEST_P(MisVariants, RootsetEqualsSequential) {
@@ -74,7 +82,7 @@ TEST_P(MisVariants, AdversarialIdentityOrderStillExact) {
   const CsrGraph g = CsrGraph::from_edges(family(fam, seed));
   const VertexOrder order = VertexOrder::identity(g.num_vertices());
   const MisResult expect = mis_sequential(g, order);
-  EXPECT_EQ(mis_parallel_naive(g, order).in_set, expect.in_set);
+  EXPECT_EQ(mis_prefix(g, order, g.num_vertices()).in_set, expect.in_set);
   EXPECT_EQ(mis_rootset(g, order).in_set, expect.in_set);
   EXPECT_EQ(mis_prefix(g, order, g.num_vertices() / 7 + 1).in_set,
             expect.in_set);
@@ -105,7 +113,6 @@ TEST_P(MisWorkers, AllVariantsExactAtEveryWidth) {
     expect = mis_sequential(g, order);
   }
   ScopedNumWorkers guard(workers);
-  EXPECT_EQ(mis_parallel_naive(g, order).in_set, expect.in_set);
   EXPECT_EQ(mis_rootset(g, order).in_set, expect.in_set);
   EXPECT_EQ(mis_prefix(g, order, 128).in_set, expect.in_set);
   EXPECT_EQ(mis_prefix(g, order, g.num_vertices()).in_set, expect.in_set);
@@ -128,13 +135,29 @@ TEST(MisProfiles, PrefixWindowOneMatchesSequentialWork) {
 }
 
 TEST(MisProfiles, FullWindowRoundsEqualDependenceLength) {
-  const CsrGraph g = CsrGraph::from_edges(random_graph_nm(800, 3'200, 6));
-  const VertexOrder order = VertexOrder::random(800, 7);
-  const MisResult naive =
-      mis_parallel_naive(g, order, ProfileLevel::kCounters);
-  const MisResult prefix =
-      mis_prefix(g, order, 800, ProfileLevel::kCounters);
-  EXPECT_EQ(prefix.profile.rounds, naive.profile.rounds);
+  // Algorithm 2 by hand on the path 0-1-2-3-4 in identity order. Each
+  // step, the first undecided vertex joins and its successor leaves; every
+  // undecided vertex scans its one earlier neighbor in the join phase and,
+  // unless it just joined, again in the kill phase.
+  //   step 1: {0,1,2,3,4} active, 0 In, 1 Out, scans 4 + 4
+  //   step 2: {2,3,4} active,     2 In, 3 Out, scans 3 + 2
+  //   step 3: {4} active,         4 In,        scans 1 + 0
+  const CsrGraph g = CsrGraph::from_edges(path_graph(5));
+  const VertexOrder order = VertexOrder::identity(5);
+  const MisResult r = mis_prefix(g, order, 5, ProfileLevel::kDetailed);
+  EXPECT_EQ(r.members(), (std::vector<VertexId>{0, 2, 4}));
+  EXPECT_EQ(r.profile.rounds, 3u);
+  EXPECT_EQ(r.profile.steps, 3u);
+  ASSERT_EQ(r.profile.per_round.size(), 3u);
+  const uint64_t rows[3][3] = {{5, 2, 8}, {3, 2, 5}, {1, 1, 1}};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.profile.per_round[i].active_items, rows[i][0]) << i;
+    EXPECT_EQ(r.profile.per_round[i].decided, rows[i][1]) << i;
+    EXPECT_EQ(r.profile.per_round[i].work_edges, rows[i][2]) << i;
+  }
+  EXPECT_EQ(r.profile.work_items, 9u);
+  EXPECT_EQ(r.profile.work_edges, 14u);
+  EXPECT_EQ(dependence_length(g, order), 3u);
 }
 
 TEST(MisProfiles, WorkGrowsWithWindow) {
@@ -198,13 +221,12 @@ TEST(MisProfiles, SummaryMentionsKeyCounters) {
 
 TEST(MisParallelEdgeCases, EmptyAndEdgeless) {
   const CsrGraph empty = CsrGraph::from_edges(EdgeList(0));
-  EXPECT_EQ(mis_parallel_naive(empty, VertexOrder::identity(0)).size(), 0u);
   EXPECT_EQ(mis_rootset(empty, VertexOrder::identity(0)).size(), 0u);
   EXPECT_EQ(mis_prefix(empty, VertexOrder::identity(0), 1).size(), 0u);
 
   const CsrGraph edgeless = CsrGraph::from_edges(EdgeList(30));
   const VertexOrder order = VertexOrder::random(30, 1);
-  EXPECT_EQ(mis_parallel_naive(edgeless, order).size(), 30u);
+  EXPECT_EQ(mis_prefix(edgeless, order, 30).size(), 30u);
   EXPECT_EQ(mis_rootset(edgeless, order).size(), 30u);
   EXPECT_EQ(mis_prefix(edgeless, order, 7).size(), 30u);
 }
@@ -223,7 +245,6 @@ TEST(MisParallelEdgeCases, SingleVertexAndSingleEdge) {
 TEST(MisParallelEdgeCases, MismatchedOrderSizeThrows) {
   const CsrGraph g = CsrGraph::from_edges(path_graph(5));
   const VertexOrder bad = VertexOrder::identity(4);
-  EXPECT_THROW(mis_parallel_naive(g, bad), CheckFailure);
   EXPECT_THROW(mis_rootset(g, bad), CheckFailure);
   EXPECT_THROW(mis_prefix(g, bad, 2), CheckFailure);
 }

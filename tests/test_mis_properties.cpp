@@ -218,13 +218,13 @@ TEST(RootsetWork, TotalWorkIsLinearInEdges) {
 }
 
 TEST(NaiveWork, GrowsWithDependenceLength) {
-  // The naive implementation re-scans every undecided vertex each step, so
-  // its work exceeds the rootset implementation's on a deep instance.
+  // Naive Algorithm 2 (the prefix kernel at window n) re-scans every
+  // undecided vertex each step, so its work exceeds the rootset
+  // implementation's on a deep instance.
   const uint64_t n = 2'000;
   const CsrGraph g = CsrGraph::from_edges(path_graph(n));
   const VertexOrder order = VertexOrder::identity(n);  // Theta(n) steps
-  const MisResult naive =
-      mis_parallel_naive(g, order, ProfileLevel::kCounters);
+  const MisResult naive = mis_prefix(g, order, n, ProfileLevel::kCounters);
   const MisResult rootset = mis_rootset(g, order, ProfileLevel::kCounters);
   EXPECT_GT(naive.profile.work_items, 20 * rootset.profile.work_items);
 }

@@ -109,14 +109,17 @@ TEST_P(LineGraphBridge, GreedyMmEqualsGreedyMisOnLineGraph) {
 
 TEST_P(LineGraphBridge, NaiveStepCountsMatchAcrossTheBridge) {
   // Lemma 5.1's proof: "an edge is added or deleted in Algorithm 4 exactly
-  // on the same step it would be for the corresponding MIS graph".
+  // on the same step it would be for the corresponding MIS graph". The MIS
+  // side is Algorithm 2, the prefix kernel with the whole line graph as
+  // its window.
   const CsrGraph g = bridge_graph(GetParam());
   const CsrGraph lg = line_graph(g);
   const EdgeOrder eo = EdgeOrder::random(g.num_edges(), 7);
   std::vector<VertexId> as_vertices(eo.order().begin(), eo.order().end());
   const VertexOrder vo = VertexOrder::from_permutation(as_vertices);
   const MatchResult mm = mm_parallel_naive(g, eo, ProfileLevel::kCounters);
-  const MisResult mis = mis_parallel_naive(lg, vo, ProfileLevel::kCounters);
+  const MisResult mis =
+      mis_prefix(lg, vo, lg.num_vertices(), ProfileLevel::kCounters);
   EXPECT_EQ(mm.profile.rounds, mis.profile.rounds);
 }
 

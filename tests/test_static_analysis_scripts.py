@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for the static-analysis tooling: scripts/lint_invariants.py,
-scripts/run_clang_tidy.py, and scripts/check_format.py. Invoked through
+scripts/run_clang_tidy.py, scripts/check_format.py and
+scripts/check_markdown_links.py. Invoked through
 CTest (stdlib unittest, no third-party dependencies, no clang needed — the
 clang-tidy/clang-format drivers are exercised against stub binaries), so
 the tooling that gates the CI static-analysis lane is itself
@@ -10,6 +11,7 @@ import importlib.util
 import json
 import os
 import stat
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -399,6 +401,53 @@ class CheckFormatTest(TempDirTest):
         self.assertIn("src/dynamic/overlay_graph.cpp", rels)
         self.assertIn("tests/thread_safety/contract_clean.cpp", rels)
         self.assertNotIn("scripts/lint_invariants.py", rels)
+
+
+# ------------------------------------------------- check_markdown_links ----
+
+
+class MarkdownLinksTest(TempDirTest):
+    """The link checker run over a scratch git repository."""
+
+    def git_repo(self, files):
+        for rel, text in files.items():
+            self.write(rel, text)
+        subprocess.run(["git", "init", "-q"], cwd=self.dir, check=True)
+        subprocess.run(["git", "add", "-A"], cwd=self.dir, check=True)
+
+    def check(self):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "check_markdown_links.py"),
+             str(self.dir)],
+            capture_output=True, text=True)
+
+    def test_valid_link_exits_zero(self):
+        self.git_repo({"a.md": "[b](b.md#title)\n", "b.md": "# Title\n"})
+        run = self.check()
+        self.assertEqual(run.returncode, 0, run.stderr)
+        self.assertIn("0 broken", run.stdout)
+
+    def test_broken_anchor_exits_one(self):
+        self.git_repo({"a.md": "[b](b.md#nope)\n", "b.md": "# Title\n"})
+        run = self.check()
+        self.assertEqual(run.returncode, 1)
+        self.assertIn("a.md: broken anchor -> b.md#nope", run.stderr)
+
+    def test_deleted_tracked_file_is_reported_and_skipped(self):
+        self.git_repo({"a.md": "# A\n", "gone.md": "[a](a.md)\n"})
+        (self.dir / "gone.md").unlink()
+        run = self.check()
+        self.assertEqual(run.returncode, 0, run.stderr)
+        self.assertIn("gone.md: tracked but missing", run.stdout)
+        self.assertNotIn("Traceback", run.stderr)
+
+    def test_link_to_deleted_tracked_file_exits_one(self):
+        self.git_repo({"a.md": "[gone](gone.md)\n", "gone.md": "# Gone\n"})
+        (self.dir / "gone.md").unlink()
+        run = self.check()
+        self.assertEqual(run.returncode, 1)
+        self.assertIn("a.md: broken link -> gone.md", run.stderr)
+        self.assertNotIn("Traceback", run.stderr)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
-// Tests for the alternative algorithm formulations:
-//   * mis_speculative / mm_speculative — the core algorithms expressed
-//     through the generic deterministic-reservations engine;
+// Tests for the algorithm formulations beyond the main suites:
+//   * mis_prefix / mm_prefix — Algorithm 3's speculative windows on the
+//     geometric and small-world families the main suites do not build,
+//     and their profiles at every worker count;
 //   * luby_mis_arrays — the classical array-based Luby formulation (same
 //     MIS as luby_mis for the same seed, by construction);
 //   * relabel_by_rank — the pre-permutation trick (PBBS setup) that turns
@@ -42,7 +43,7 @@ TEST_P(VariantFamilies, MisSpeculativeEqualsSequential) {
     const VertexOrder order = VertexOrder::random(n, seed + 41);
     const MisResult expect = mis_sequential(g, order);
     for (uint64_t window : {uint64_t{1}, uint64_t{37}, n / 3 + 1, n}) {
-      EXPECT_EQ(mis_speculative(g, order, window).in_set, expect.in_set)
+      EXPECT_EQ(mis_prefix(g, order, window).in_set, expect.in_set)
           << "window=" << window;
     }
   }
@@ -55,7 +56,7 @@ TEST_P(VariantFamilies, MmSpeculativeEqualsSequential) {
     const EdgeOrder order = EdgeOrder::random(m, seed + 43);
     const MatchResult expect = mm_sequential(g, order);
     for (uint64_t window : {uint64_t{1}, uint64_t{37}, m / 3 + 1, m}) {
-      EXPECT_EQ(mm_speculative(g, order, window).in_matching,
+      EXPECT_EQ(mm_prefix(g, order, window).in_matching,
                 expect.in_matching)
           << "window=" << window;
     }
@@ -79,24 +80,45 @@ INSTANTIATE_TEST_SUITE_P(Families, VariantFamilies,
                                            "smallworld"));
 
 TEST(VariantDeterminism, SpeculativeVariantsStableAcrossWorkerCounts) {
+  // Not only the answer: every work counter is a function of the input,
+  // because each phase's benign races flip no test.
   const CsrGraph g = CsrGraph::from_edges(random_graph_nm(1'500, 6'000, 3));
   const VertexOrder vo = VertexOrder::random(g.num_vertices(), 4);
   const EdgeOrder eo = EdgeOrder::random(g.num_edges(), 5);
   const MisResult mis_ref = mis_sequential(g, vo);
   const MatchResult mm_ref = mm_sequential(g, eo);
+  RunProfile mis_prof;
+  RunProfile mm_prof;
   for (int workers : {1, 2, 4}) {
     ScopedNumWorkers guard(workers);
-    EXPECT_EQ(mis_speculative(g, vo, 128).in_set, mis_ref.in_set);
-    EXPECT_EQ(mm_speculative(g, eo, 128).in_matching, mm_ref.in_matching);
+    const MisResult mis = mis_prefix(g, vo, 128, ProfileLevel::kCounters);
+    const MatchResult mm = mm_prefix(g, eo, 128, ProfileLevel::kCounters);
+    EXPECT_EQ(mis.in_set, mis_ref.in_set);
+    EXPECT_EQ(mm.in_matching, mm_ref.in_matching);
+    if (workers == 1) {
+      mis_prof = mis.profile;
+      mm_prof = mm.profile;
+    }
+    EXPECT_EQ(mis.profile.rounds, mis_prof.rounds) << workers;
+    EXPECT_EQ(mis.profile.work_items, mis_prof.work_items) << workers;
+    EXPECT_EQ(mis.profile.work_edges, mis_prof.work_edges) << workers;
+    EXPECT_EQ(mm.profile.rounds, mm_prof.rounds) << workers;
+    EXPECT_EQ(mm.profile.work_items, mm_prof.work_items) << workers;
   }
 }
 
 TEST(VariantProfiles, SpeculativeAttemptsCoverEveryItem) {
+  // A window of w resolves at most w items per round.
   const CsrGraph g = CsrGraph::from_edges(random_graph_nm(800, 3'200, 6));
   const VertexOrder vo = VertexOrder::random(800, 7);
-  const MisResult r = mis_speculative(g, vo, 100);
+  const MisResult r = mis_prefix(g, vo, 100, ProfileLevel::kCounters);
   EXPECT_GE(r.profile.work_items, g.num_vertices());  // >= one attempt each
   EXPECT_GE(r.profile.rounds, 800u / 100u);
+  const uint64_t m = g.num_edges();
+  const MatchResult mm =
+      mm_prefix(g, EdgeOrder::random(m, 8), 100, ProfileLevel::kCounters);
+  EXPECT_GE(mm.profile.work_items, m);
+  EXPECT_GE(mm.profile.rounds, (m + 99) / 100);
 }
 
 // ------------------------------------------------------- relabel_by_rank ---
