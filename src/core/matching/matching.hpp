@@ -7,15 +7,18 @@
 //
 //   mm_sequential       the greedy loop. O(n + m) work, Theta(m) depth.
 //   mm_parallel_naive   Algorithm 4 run step-synchronously: every undecided
-//                       edge re-examined each step. Steps = dependence
-//                       length of the edge priority DAG (Lemma 5.1:
-//                       O(log^2 m) w.h.p. for random pi).
+//                       edge re-examined each step, as a join/kill step
+//                       over adjacent edges on the prefix-window loop
+//                       (core/speculative_for.hpp) at window m. Steps =
+//                       dependence length of the edge priority DAG (Lemma
+//                       5.1: O(log^2 m) w.h.p. for random pi).
 //   mm_rootset          linear-work rootset version via per-vertex
 //                       priority-sorted incident edges, lazy deletion and
 //                       mmCheck (Lemmas 5.2, 5.3).
 //   mm_prefix           prefix-based speculative window with endpoint
 //                       reservations (deterministic reservations, the
-//                       implementation measured in Section 6 / Figure 2).
+//                       implementation measured in Section 6 / Figure 2):
+//                       a reserve/commit step on the same loop.
 //                       At window m it takes mm_parallel_naive's step
 //                       count, plus one round when the last step drops
 //                       edges: an edge next to a new match resolves Out in

@@ -33,24 +33,6 @@ inline EStatus load_estatus(const std::vector<uint8_t>& status, EdgeId e) {
           std::memory_order_acquire));
 }
 
-/// CAS Undecided -> `to`; true iff this caller performed the transition.
-inline bool claim_estatus(std::vector<uint8_t>& status, EdgeId e,
-                          EStatus to) {
-  uint8_t expected = static_cast<uint8_t>(EStatus::kUndecided);
-  return std::atomic_ref<uint8_t>(status[e]).compare_exchange_strong(
-      expected, static_cast<uint8_t>(to), std::memory_order_acq_rel,
-      std::memory_order_acquire);
-}
-
-/// Claims `stamp` for `token`; true for exactly one caller per token.
-inline bool claim_token(std::atomic<uint64_t>& stamp, uint64_t token) {
-  uint64_t seen = stamp.load(std::memory_order_relaxed);
-  if (seen == token) return false;
-  return stamp.compare_exchange_strong(seen, token,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
-}
-
 }  // namespace
 
 MatchResult mm_rootset(const CsrGraph& g, const EdgeOrder& order,
@@ -173,7 +155,7 @@ MatchResult mm_rootset(const CsrGraph& g, const EdgeOrder& order,
         for (EdgeId f : g.incident_edges(endpoint)) {
           const Offset slot = at++;
           if (f == e) continue;
-          if (claim_estatus(status, f, EStatus::kOut))
+          if (claim_status(status, f, EStatus::kOut))
             far_slots[slot] = g.edge(f).other(endpoint);
         }
       }

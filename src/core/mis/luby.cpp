@@ -12,16 +12,63 @@
 // processes the entire input as a prefix [with] reassigning the priorities
 // of vertices between rounds"). Deterministic in the seed: priorities are
 // counter-based hashes of (seed, round, vertex).
+//
+// The paper reports "We tried different implementations of Luby's
+// algorithm and report the times for the fastest one"; this library does
+// the same with two, which share the round loop below and differ only in
+// where a round's priorities come from:
+//
+//   luby_mis         computes them in-register from the hash during the
+//                    scan (usually faster);
+//   luby_mis_arrays  the classical description: each round first refills a
+//                    priority array over the live vertices (one extra
+//                    O(live) pass, counted as a second item touch per live
+//                    vertex, and an extra indirection per neighbor probe).
+//
+// For the same seed they compute the SAME MIS, because the array holds
+// exactly the values the in-register variant recomputes.
+// bench/micro_algorithms measures both.
+#include <span>
+
 #include "core/mis/mis.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/pack.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "random/hash.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
 
-MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
+namespace {
+
+/// Priorities hashed in the scan.
+struct HashedPriorities {
+  static constexpr uint64_t kTouchesPerLive = 1;
+
+  auto round(uint64_t round_seed, std::span<const VertexId>) {
+    return [round_seed](VertexId v) { return hash64(round_seed, v); };
+  }
+};
+
+/// Priorities stored in an array refilled over the live vertices each
+/// round. Sized n so dead vertices keep a stale value that is never read.
+struct ArrayPriorities {
+  static constexpr uint64_t kTouchesPerLive = 2;
+  std::vector<uint64_t> value;
+
+  auto round(uint64_t round_seed, std::span<const VertexId> live) {
+    parallel_for(0, static_cast<int64_t>(live.size()), [&](int64_t i) {
+      const VertexId v = live[static_cast<std::size_t>(i)];
+      value[v] = hash64(round_seed, v);
+    });
+    return [p = value.data()](VertexId v) { return p[v]; };
+  }
+};
+
+template <typename Priorities>
+MisResult luby_rounds(const CsrGraph& g, uint64_t seed, ProfileLevel level,
+                      Priorities store) {
   const uint64_t n = g.num_vertices();
   MisResult result;
   result.in_set.assign(n, 0);
@@ -36,9 +83,8 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
   uint64_t round = 0;
   while (!live.empty()) {
     ++round;
-    const uint64_t round_seed = hash64(seed, round);
     // Priority of v this round; ties broken by id, so the order is total.
-    auto priority = [&](VertexId v) { return hash64(round_seed, v); };
+    const auto priority = store.round(hash64(seed, round), live);
     const int64_t sz = static_cast<int64_t>(live.size());
 
     // Phase A: strict local minima join the MIS. A neighbor is live this
@@ -94,7 +140,8 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
         });
     if (level != ProfileLevel::kNone) {
       prof.work_edges += work_a + work_b;
-      prof.work_items += static_cast<uint64_t>(sz);
+      prof.work_items +=
+          Priorities::kTouchesPerLive * static_cast<uint64_t>(sz);
       if (level == ProfileLevel::kDetailed) {
         prof.per_round.push_back(RoundProfile{
             static_cast<uint64_t>(sz),
@@ -110,6 +157,18 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
 
   collapse_status(status, VStatus::kIn);
   return result;
+}
+
+}  // namespace
+
+MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
+  return luby_rounds(g, seed, level, HashedPriorities{});
+}
+
+MisResult luby_mis_arrays(const CsrGraph& g, uint64_t seed,
+                          ProfileLevel level) {
+  return luby_rounds(g, seed, level,
+                     ArrayPriorities{std::vector<uint64_t>(g.num_vertices())});
 }
 
 }  // namespace pargreedy

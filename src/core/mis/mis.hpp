@@ -8,18 +8,21 @@
 //   mis_prefix           Algorithm 3: speculative processing of a sliding
 //                        prefix window of the ordering; the work/parallelism
 //                        trade-off knob of the paper's experiments
-//                        (Section 6). prefix_size = 1 degenerates to the
-//                        sequential algorithm; prefix_size = n IS
-//                        Algorithm 2 run step-synchronously (the paper's
-//                        "naive" parallel version: every undecided vertex
-//                        re-examined each step, O(m * D) work for
-//                        dependence length D, and D rounds).
+//                        (Section 6). A join/kill step on the prefix-window
+//                        loop (core/speculative_for.hpp). prefix_size = 1
+//                        degenerates to the sequential algorithm;
+//                        prefix_size = n IS Algorithm 2 run
+//                        step-synchronously (the paper's "naive" parallel
+//                        version: every undecided vertex re-examined each
+//                        step, O(m * D) work for dependence length D, and D
+//                        rounds).
 //   mis_rootset          Algorithm 2 in O(n + m) work via explicit root
 //                        sets, lazy deletion and misCheck (Lemma 4.2).
 //   luby_mis             Luby's Algorithm A: re-randomizes priorities every
 //                        round; the classic parallel baseline of Figure 3.
 //                        NOT lexicographically-first (different result).
-//                        luby_mis_arrays is its array-based formulation;
+//                        luby_mis_arrays is its array-based formulation,
+//                        the same round loop over stored priorities;
 //                        Figure 3 reports the faster of the two, as the
 //                        paper does.
 //

@@ -25,19 +25,6 @@
 
 namespace pargreedy {
 
-namespace {
-
-/// CAS Undecided -> `to`; true iff this caller performed the transition.
-inline bool claim_status(std::vector<uint8_t>& status, VertexId v,
-                         VStatus to) {
-  uint8_t expected = static_cast<uint8_t>(VStatus::kUndecided);
-  return std::atomic_ref<uint8_t>(status[v]).compare_exchange_strong(
-      expected, static_cast<uint8_t>(to), std::memory_order_acq_rel,
-      std::memory_order_acquire);
-}
-
-}  // namespace
-
 MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
                       ProfileLevel level) {
   const uint64_t n = g.num_vertices();
@@ -149,12 +136,7 @@ MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
         if (!order.earlier(w, x)) continue;              // only children
         if (load_status<VStatus>(status, x) != VStatus::kUndecided) continue;
         // Claim the misCheck of x for this step.
-        uint64_t seen = claim_stamp[x].load(std::memory_order_relaxed);
-        if (seen == step) continue;
-        if (!claim_stamp[x].compare_exchange_strong(
-                seen, step, std::memory_order_acq_rel,
-                std::memory_order_acquire))
-          continue;
+        if (!claim_token(claim_stamp[x], step)) continue;
         // misCheck: skip deleted (Out) parents; stop at a live one.
         Offset& cur = cursor[x];
         const Offset end = parent_offset[static_cast<std::size_t>(x) + 1];

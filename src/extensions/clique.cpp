@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "core/speculative_for.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/parallel_for.hpp"
@@ -53,8 +54,7 @@ CliqueResult greedy_clique_prefix(const CsrGraph& g, const VertexOrder& order,
                                   uint64_t prefix_size) {
   const uint64_t n = g.num_vertices();
   PG_CHECK_MSG(order.size() == n, "ordering size != vertex count");
-  const uint64_t window =
-      prefix_size < 1 ? 1 : (prefix_size > n && n > 0 ? n : prefix_size);
+  const auto window = static_cast<uint64_t>(clamp_window(prefix_size, n));
   CliqueResult result;
   result.in_clique.assign(n, 0);
   RunProfile& prof = result.profile;

@@ -2,8 +2,8 @@
 
 #include <atomic>
 
+#include "core/speculative_for.hpp"
 #include "parallel/reduce.hpp"
-#include "specfor/speculative_for.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
@@ -32,26 +32,28 @@ uint32_t first_fit_color(const CsrGraph& g, const VertexOrder& order,
 
 /// speculative_for step: a vertex commits once all earlier neighbors are
 /// colored; vertices committing in the same round are never dependent, so
-/// the first-fit computation reads stable colors.
+/// the first-fit computation reads stable colors. Whether an earlier
+/// neighbor colored in the same round is seen depends on the schedule, so
+/// the colors are deterministic and the round count is not.
 struct ColorStep {
   const CsrGraph& g;
   const VertexOrder& order;
   std::vector<uint32_t>& color;
 
-  bool reserve(int64_t) { return true; }
+  PhaseResult reserve(int64_t) { return {}; }
 
-  bool commit(int64_t i) {
+  PhaseResult commit(int64_t i) {
     const VertexId v = order.nth(static_cast<uint64_t>(i));
     for (VertexId w : g.neighbors(v)) {
       if (!order.earlier(w, v)) continue;
       if (std::atomic_ref<const uint32_t>(color[w]).load(
               std::memory_order_acquire) == kUncolored)
-        return false;  // an earlier neighbor is pending: retry
+        return {};  // an earlier neighbor is pending: retry
     }
     thread_local std::vector<uint8_t> scratch;
     const uint32_t c = first_fit_color(g, order, color, v, scratch);
     std::atomic_ref<uint32_t>(color[v]).store(c, std::memory_order_release);
-    return true;
+    return {true, 0};
   }
 };
 
@@ -93,13 +95,10 @@ ColoringResult greedy_coloring_prefix(const CsrGraph& g,
   ColoringResult result;
   result.color.assign(g.num_vertices(), kUncolored);
   ColorStep step{g, order, result.color};
-  const SpecForStats stats =
-      speculative_for(step, 0, static_cast<int64_t>(g.num_vertices()),
-                      static_cast<int64_t>(prefix_size));
+  const uint64_t n = g.num_vertices();
+  result.profile = speculative_for(step, 0, static_cast<int64_t>(n),
+                                   clamp_window(prefix_size, n));
   result.num_colors = count_colors(result.color);
-  result.profile.rounds = stats.rounds;
-  result.profile.steps = stats.rounds;
-  result.profile.work_items = stats.attempts;
   return result;
 }
 

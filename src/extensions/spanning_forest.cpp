@@ -2,13 +2,13 @@
 
 #include <atomic>
 
+#include "core/speculative_for.hpp"
 #include "extensions/union_find.hpp"
 #include "graph/graph_ops.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
-#include "specfor/speculative_for.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
@@ -70,23 +70,22 @@ struct ForestStep {
   std::vector<VertexId>& root_v;
   std::vector<uint8_t>& in_forest;
 
-  bool reserve(int64_t i) {
+  PhaseResult reserve(int64_t i) {
     const EdgeId e = order.nth(static_cast<uint64_t>(i));
     const Edge ed = g.edge(e);
     const VertexId ru = uf.find(ed.u);
     const VertexId rv = uf.find(ed.v);
-    if (ru == rv) return false;  // already connected: resolved, not kept
+    if (ru == rv) return {true, 0};  // already connected: resolved, not kept
     root_u[e] = ru;
     root_v[e] = rv;
-    const uint32_t r = order.rank(e);
-    atomic_write_min(slot[ru], r);
-    atomic_write_min(slot[rv], r);
-    return true;
+    atomic_write_min(slot[ru], static_cast<uint32_t>(i));
+    atomic_write_min(slot[rv], static_cast<uint32_t>(i));
+    return {};
   }
 
-  bool commit(int64_t i) {
+  PhaseResult commit(int64_t i) {
     const EdgeId e = order.nth(static_cast<uint64_t>(i));
-    const uint32_t r = order.rank(e);
+    const auto r = static_cast<uint32_t>(i);
     const VertexId ru = root_u[e];
     const VertexId rv = root_v[e];
     const bool won_u = slot[ru].load(std::memory_order_relaxed) == r;
@@ -96,15 +95,15 @@ struct ForestStep {
       in_forest[e] = 1;
       slot[ru].store(kFreeSlot, std::memory_order_relaxed);
       if (won_v) slot[rv].store(kFreeSlot, std::memory_order_relaxed);
-      return true;
+      return {true, 0};
     }
     if (won_v) {
       uf.link(rv, ru);
       in_forest[e] = 1;
       slot[rv].store(kFreeSlot, std::memory_order_relaxed);
-      return true;
+      return {true, 0};
     }
-    return false;  // lost both bids: retry next round
+    return {};  // lost both bids: retry next round
   }
 };
 
@@ -125,12 +124,9 @@ ForestResult spanning_forest_prefix(const CsrGraph& g, const EdgeOrder& order,
   std::vector<VertexId> root_v(g.num_edges());
 
   ForestStep step{g, order, uf, slot, root_u, root_v, result.in_forest};
-  const SpecForStats stats =
-      speculative_for(step, 0, static_cast<int64_t>(g.num_edges()),
-                      static_cast<int64_t>(prefix_size));
-  result.profile.rounds = stats.rounds;
-  result.profile.steps = stats.rounds;
-  result.profile.work_items = stats.attempts;
+  const uint64_t m = g.num_edges();
+  result.profile = speculative_for(step, 0, static_cast<int64_t>(m),
+                                   clamp_window(prefix_size, m));
   return result;
 }
 

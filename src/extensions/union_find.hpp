@@ -1,10 +1,11 @@
 // Concurrent-read union-find with path halving.
 //
 // Substrate for the spanning-forest extension. The usage discipline
-// matches speculative_for's phases: find() may run concurrently with other
-// find()s (path halving races are benign — every write points a node at an
-// ancestor), while link() calls in a commit phase must target disjoint
-// root pairs (which the reservation protocol guarantees).
+// matches the forest step's two phases on speculative_for: find() may run
+// concurrently with other find()s in the reserve phase (path halving races
+// are benign — every write points a node at an ancestor), while link()
+// calls in the commit phase must target disjoint root pairs (which the
+// reservation protocol guarantees).
 #pragma once
 
 #include <atomic>

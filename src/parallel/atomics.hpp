@@ -2,31 +2,20 @@
 //
 // The rootset algorithms (Lemmas 4.2 and 5.3) rely on the "arbitrary write"
 // CRCW model: many processors write a candidate and exactly one wins.
-// claim_slot() is that primitive; atomic_write_min is the priority-write
-// used by the deterministic-reservations engine. The status-byte helpers
-// are the kernels' shared view of their tri-state VStatus/EStatus arrays.
+// claim_status() and claim_token() are that primitive; atomic_write_min is
+// the priority-write of the deterministic-reservations steps. The
+// status-byte helpers are the kernels' shared view of their tri-state
+// VStatus/EStatus arrays.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
 
 namespace pargreedy {
-
-/// Atomically sets *slot = value if *slot still holds `empty`.
-/// Returns true iff this caller's write won (the arbitrary-CRCW-write
-/// emulation: exactly one concurrent claimant succeeds).
-template <typename T>
-bool claim_slot(std::atomic<T>& slot, T empty, T value) {
-  T expected = empty;
-  return slot.compare_exchange_strong(expected, value,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire);
-}
 
 /// Atomically lowers `slot` to `value` if value is smaller.
 /// Returns true iff the write changed the slot.
@@ -34,18 +23,6 @@ template <typename T>
 bool atomic_write_min(std::atomic<T>& slot, T value) {
   T cur = slot.load(std::memory_order_relaxed);
   while (value < cur) {
-    if (slot.compare_exchange_weak(cur, value, std::memory_order_acq_rel,
-                                   std::memory_order_relaxed))
-      return true;
-  }
-  return false;
-}
-
-/// Atomically raises `slot` to `value` if value is larger.
-template <typename T>
-bool atomic_write_max(std::atomic<T>& slot, T value) {
-  T cur = slot.load(std::memory_order_relaxed);
-  while (value > cur) {
     if (slot.compare_exchange_weak(cur, value, std::memory_order_acq_rel,
                                    std::memory_order_relaxed))
       return true;
@@ -72,6 +49,28 @@ inline void store_status(std::vector<uint8_t>& status, std::size_t i,
                                             std::memory_order_relaxed);
 }
 
+/// Moves item i's status byte from Undecided to `to` with a CAS; true iff
+/// this caller performed the transition (exactly one concurrent claimant
+/// does).
+template <typename Status>
+[[nodiscard]] inline bool claim_status(std::vector<uint8_t>& status,
+                                       std::size_t i, Status to) {
+  auto expected = static_cast<uint8_t>(Status::kUndecided);
+  return std::atomic_ref<uint8_t>(status[i]).compare_exchange_strong(
+      expected, static_cast<uint8_t>(to), std::memory_order_acq_rel,
+      std::memory_order_acquire);
+}
+
+/// Claims `stamp` for `token` (a step number); true for exactly one caller
+/// per token.
+[[nodiscard]] inline bool claim_token(std::atomic<uint64_t>& stamp,
+                                      uint64_t token) {
+  uint64_t seen = stamp.load(std::memory_order_relaxed);
+  if (seen == token) return false;
+  return stamp.compare_exchange_strong(seen, token, std::memory_order_acq_rel,
+                                       std::memory_order_acquire);
+}
+
 /// Collapses a finished kernel's tri-state bytes to the 0/1 membership
 /// convention of its result (1 iff the byte is `in`).
 template <typename Status>
@@ -81,11 +80,5 @@ void collapse_status(std::vector<uint8_t>& status, Status in) {
     b = b == static_cast<uint8_t>(in) ? 1 : 0;
   });
 }
-
-/// A cache-line-padded counter for per-worker accumulation without false
-/// sharing (used by the work-instrumentation layer).
-struct alignas(64) PaddedCounter {
-  std::atomic<uint64_t> value{0};
-};
 
 }  // namespace pargreedy

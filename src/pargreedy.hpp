@@ -24,6 +24,7 @@
 #include "core/mis/verify.hpp"
 #include "core/mis/vertex_order.hpp"
 #include "core/priority/priority_source.hpp"
+#include "core/speculative_for.hpp"
 #include "dynamic/batch_stats.hpp"
 #include "dynamic/dynamic_matching.hpp"
 #include "dynamic/dynamic_mis.hpp"
@@ -52,7 +53,6 @@
 #include "shard/partitioner.hpp"
 #include "shard/sharded_engine.hpp"
 #include "shard/sharded_version.hpp"
-#include "specfor/speculative_for.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 #include "support/timing.hpp"

@@ -180,6 +180,57 @@ TEST(MmProfiles, DetailedRowsSumToCounters) {
   EXPECT_EQ(decided, g.num_edges());
 }
 
+TEST(MmProfiles, NaiveRowsByHandOnAPath) {
+  // Algorithm 4 by hand on the path 0-1-2-3-4 (edges e0..e3 in identity
+  // order). The join phase scans earlier adjacent edges up to the first
+  // one not Out; the kill phase scans every adjacent edge up to an In one.
+  //   step 1: {e0..e3} active, e0 In, e1 Out, scans 3 + 4
+  //   step 2: {e2,e3} active,  e2 In, e3 Out, scans 2 + 1
+  const CsrGraph g = CsrGraph::from_edges(path_graph(5));
+  const EdgeOrder order = EdgeOrder::identity(g.num_edges());
+  for (int workers : {1, 4}) {
+    ScopedNumWorkers guard(workers);
+    const MatchResult r =
+        mm_parallel_naive(g, order, ProfileLevel::kDetailed);
+    EXPECT_EQ(r.members(), (std::vector<EdgeId>{0, 2}));
+    EXPECT_EQ(r.profile.rounds, 2u);
+    ASSERT_EQ(r.profile.per_round.size(), 2u);
+    const uint64_t rows[2][3] = {{4, 2, 7}, {2, 2, 3}};
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(r.profile.per_round[i].active_items, rows[i][0]) << i;
+      EXPECT_EQ(r.profile.per_round[i].decided, rows[i][1]) << i;
+      EXPECT_EQ(r.profile.per_round[i].work_edges, rows[i][2]) << i;
+    }
+    EXPECT_EQ(r.profile.work_items, 6u);
+    EXPECT_EQ(r.profile.work_edges, 10u);
+  }
+}
+
+TEST(MmProfiles, PrefixRowsByHandOnAPath) {
+  // Deterministic reservations by hand on the same path at window 4.
+  //   round 1: e0 holds both its slots and joins; e1..e3 each lose one
+  //   round 2: e1 sees matched vertex 1 and leaves; e2 wins both slots
+  //   round 3: e3 sees matched vertex 3 and leaves
+  // The last drop comes one round after Algorithm 4's kill phase drops e3.
+  const CsrGraph g = CsrGraph::from_edges(path_graph(5));
+  const EdgeOrder order = EdgeOrder::identity(g.num_edges());
+  for (int workers : {1, 4}) {
+    ScopedNumWorkers guard(workers);
+    const MatchResult r = mm_prefix(g, order, 4, ProfileLevel::kDetailed);
+    EXPECT_EQ(r.members(), (std::vector<EdgeId>{0, 2}));
+    EXPECT_EQ(r.profile.rounds, 3u);
+    ASSERT_EQ(r.profile.per_round.size(), 3u);
+    const uint64_t rows[3][3] = {{4, 1, 0}, {3, 2, 0}, {1, 1, 0}};
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(r.profile.per_round[i].active_items, rows[i][0]) << i;
+      EXPECT_EQ(r.profile.per_round[i].decided, rows[i][1]) << i;
+      EXPECT_EQ(r.profile.per_round[i].work_edges, rows[i][2]) << i;
+    }
+    EXPECT_EQ(r.profile.work_items, 8u);
+    EXPECT_EQ(r.profile.work_edges, 0u);
+  }
+}
+
 // ------------------------------------------------------------ edge cases ---
 
 TEST(MmParallelEdgeCases, EmptyAndEdgeless) {

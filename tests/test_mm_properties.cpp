@@ -111,16 +111,27 @@ TEST_P(LineGraphBridge, NaiveStepCountsMatchAcrossTheBridge) {
   // Lemma 5.1's proof: "an edge is added or deleted in Algorithm 4 exactly
   // on the same step it would be for the corresponding MIS graph". The MIS
   // side is Algorithm 2, the prefix kernel with the whole line graph as
-  // its window.
+  // its window. So every step starts with the same undecided items and
+  // decides as many; only the edges scanned may differ, because the two
+  // sides scan a neighborhood in different orders.
   const CsrGraph g = bridge_graph(GetParam());
   const CsrGraph lg = line_graph(g);
   const EdgeOrder eo = EdgeOrder::random(g.num_edges(), 7);
   std::vector<VertexId> as_vertices(eo.order().begin(), eo.order().end());
   const VertexOrder vo = VertexOrder::from_permutation(as_vertices);
-  const MatchResult mm = mm_parallel_naive(g, eo, ProfileLevel::kCounters);
+  const MatchResult mm = mm_parallel_naive(g, eo, ProfileLevel::kDetailed);
   const MisResult mis =
-      mis_prefix(lg, vo, lg.num_vertices(), ProfileLevel::kCounters);
+      mis_prefix(lg, vo, lg.num_vertices(), ProfileLevel::kDetailed);
   EXPECT_EQ(mm.profile.rounds, mis.profile.rounds);
+  ASSERT_EQ(mm.profile.per_round.size(), mis.profile.per_round.size());
+  for (std::size_t i = 0; i < mm.profile.per_round.size(); ++i) {
+    EXPECT_EQ(mm.profile.per_round[i].active_items,
+              mis.profile.per_round[i].active_items)
+        << "step " << i;
+    EXPECT_EQ(mm.profile.per_round[i].decided,
+              mis.profile.per_round[i].decided)
+        << "step " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, LineGraphBridge, ::testing::Range(0, 7));
