@@ -89,7 +89,7 @@ JOURNAL_EXEMPT_METHODS = {
     "set_edge_weight",  # delegates to set_slot_weight (which journals)
     "compact",          # forbidden while a journal is attached (checked)
     "set_journal",      # the attach/detach seam itself
-    "undo_to",          # the replay path — consumes records
+    "undo",             # the replay path — consumes records
     "OverlayGraph",     # constructors
     "enable_frontier_tracking",  # forbidden while attached (checked); the
                                  # counters it seeds are derived state kept

@@ -29,11 +29,11 @@
 // not the loop's: the barrier only orders what the phases write. A step
 // whose phase 1 writes only what phase 2 reads, and whose phase 2 reads
 // nothing a same-round phase 2 writes (mis_prefix's joins, mm_prefix's
-// bids, the forest's root bids), resolves the same positions each round at
-// any worker count, so Figure 1(b), dependence_length() and the rounds
-// Fischer-Noever bound are reproducible. A step whose commit reads what a
-// same-round commit writes (greedy_coloring_prefix) keeps its result but
-// not its round count.
+// bids, the forest's root bids, coloring's ready marks), resolves the same
+// positions each round at any worker count, so Figure 1(b),
+// dependence_length() and the rounds Fischer-Noever bound are
+// reproducible. A step whose commit read what a same-round commit writes
+// would keep its result but not its round count.
 //
 // Progress: the earliest position in the window must resolve every round.
 // It has no unresolved earlier position anywhere, which is the

@@ -63,7 +63,7 @@ void DynamicMatching::append_successors(EdgeSlot s,
 void DynamicMatching::cover_slot(EdgeSlot s) {
   if (s < pri_.size()) return;
   const std::size_t old = pri_.size();
-  if (txn_) txn_->engine.record_growth(old);
+  if (txn_) txn_->record_growth(old);
   pri_.resize(s + 1);
   if (source_.has_secondary_word()) pri2_.resize(s + 1);
   decision_.resize(s + 1, 0);
@@ -121,7 +121,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   // seeded. A dropped edge that was NOT matched constrains nobody.
   const auto drop_slot = [&](EdgeSlot s) {
     if (!decision_[s]) return;
-    if (txn_) txn_->engine.record_decision(s, true);
+    if (txn_) txn_->record_decision(s, true);
     decision_[s] = 0;
     ++stats.changed;  // an eager flip, counted like repropagation flips
     const Edge e = graph_.slot_edge(s);

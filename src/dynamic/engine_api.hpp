@@ -86,7 +86,7 @@ struct EngineOptions {
 template <typename E>
 concept DynamicEngineApi =
     std::constructible_from<E, EngineOptions> &&
-    requires(E& e, const E& ce, const UpdateBatch& batch, TxnJournal* journal,
+    requires(E& e, const E& ce, const UpdateBatch& batch, UndoJournal* journal,
              const TxnMark& mark, VertexId v) {
       // Everyday queries (reader-safe between writer calls).
       { ce.num_vertices() } noexcept -> std::same_as<uint64_t>;

@@ -154,15 +154,16 @@ class GreedyEngine {
   // Transactional seams — called by txn::Transaction (see
   // src/txn/transaction.hpp); not part of the everyday API.
 
-  /// Attaches the undo journal: subsequent mutations append inverse
-  /// records and auto-compaction is deferred. Checked: not already
+  /// Attaches the undo journal to the engine and its overlay: subsequent
+  /// mutations at both levels append inverse records to it, in mutation
+  /// order, and auto-compaction is deferred. Checked: not already
   /// attached. The journal must outlive the attachment.
-  void txn_attach(TxnJournal* txn) PARGREEDY_REQUIRES(writer_role_) {
+  void txn_attach(UndoJournal* journal) PARGREEDY_REQUIRES(writer_role_) {
     support::RoleScope overlay_writer(graph_.writer_role_);
-    PG_CHECK_MSG(txn != nullptr, "txn_attach(nullptr)");
+    PG_CHECK_MSG(journal != nullptr, "txn_attach(nullptr)");
     PG_CHECK_MSG(txn_ == nullptr, "a transaction journal is already attached");
-    txn_ = txn;
-    graph_.set_journal(&txn->overlay);
+    txn_ = journal;
+    graph_.set_journal(journal);
   }
 
   /// Detaches the journal (records are NOT replayed — commit path).
@@ -173,50 +174,53 @@ class GreedyEngine {
     graph_.set_journal(nullptr);
   }
 
-  /// O(1) checkpoint of the current state: journal watermarks + scalar
+  /// O(1) checkpoint of the current state: journal watermark + scalar
   /// stamps. Checked: a journal is attached. Writer-side (it reads the
   /// journal attachment), hence the capability requirement.
   [[nodiscard]] TxnMark txn_mark() const PARGREEDY_REQUIRES(writer_role_) {
     PG_CHECK_MSG(txn_ != nullptr, "txn_mark requires an attached journal");
-    return {txn_->engine.size(), txn_->overlay.size(), graph_.epoch(),
-            epoch_, lifetime_stats_};
+    return {txn_->size(), epoch_, lifetime_stats_};
   }
 
-  /// Replays both journals newest-first down to `mark`, restoring the
-  /// engine bit-exactly to the checkpointed state (solution, activity,
-  /// cached keys, per-item array sizes, overlay, epochs, lifetime stats).
+  /// Replays the journal newest-first down to `mark` — the one replay
+  /// loop: engine records are undone here, overlay records by the
+  /// overlay — restoring the engine bit-exactly to the checkpointed state
+  /// (solution, activity, cached keys, per-item array sizes, overlay,
+  /// epoch, lifetime stats).
   void txn_rollback(const TxnMark& mark) PARGREEDY_REQUIRES(writer_role_) {
     support::RoleScope overlay_writer(graph_.writer_role_);
     PG_CHECK_MSG(txn_ != nullptr, "txn_rollback requires an attached journal");
-    const EngineJournal& ej = txn_->engine;
-    PG_CHECK_MSG(mark.engine_records <= ej.size(),
-                 "engine undo mark beyond journal size");
-    for (std::size_t i = ej.size(); i-- > mark.engine_records;) {
-      const EngineUndoRecord& r = ej[i];
+    UndoJournal& journal = *txn_;
+    PG_CHECK_MSG(mark.records <= journal.size(),
+                 "undo mark " << mark.records << " beyond journal size "
+                              << journal.size());
+    for (std::size_t i = journal.size(); i-- > mark.records;) {
+      const UndoRecord& r = journal[i];
       switch (r.kind) {
-        case EngineUndoRecord::Kind::kDecision:
-          decision_[r.item] = r.flag;
+        case UndoRecord::Kind::kDecision:
+          decision_[r.index] = r.flag;
           break;
-        case EngineUndoRecord::Kind::kActive:
-          active_[r.item] = r.flag;
+        case UndoRecord::Kind::kActive:
+          active_[r.index] = r.flag;
           break;
-        case EngineUndoRecord::Kind::kKey:
+        case UndoRecord::Kind::kKey:
           // Key records of items appended after a growth record are
           // replayed before it truncates them away, so these writes
           // always hit live entries.
-          pri_[r.item] = r.old_a;
-          if (!pri2_.empty()) pri2_[r.item] = r.old_b;
+          pri_[r.index] = r.old_a;
+          if (!pri2_.empty()) pri2_[r.index] = r.old_b;
           break;
-        case EngineUndoRecord::Kind::kGrowth:
-          pri_.resize(r.item);
-          if (!pri2_.empty()) pri2_.resize(r.item);
-          decision_.resize(r.item);
+        case UndoRecord::Kind::kGrowth:
+          pri_.resize(r.index);
+          if (!pri2_.empty()) pri2_.resize(r.index);
+          decision_.resize(r.index);
           break;
+        default:  // an overlay kind
+          graph_.undo(r);
       }
     }
-    txn_->engine.truncate(mark.engine_records);
-    graph_.undo_to(mark.overlay_records, mark.overlay_epoch);
-    epoch_ = mark.engine_epoch;
+    journal.truncate(mark.records);
+    epoch_ = mark.epoch;
     lifetime_stats_ = mark.lifetime;
   }
 
@@ -245,7 +249,7 @@ class GreedyEngine {
   bool store_key(Item i, PriorityKey k) PARGREEDY_REQUIRES(writer_role_) {
     const PriorityKey old = cached_key(i);
     if (k == old) return false;
-    if (txn_) txn_->engine.record_key(i, old.primary, old.secondary);
+    if (txn_) txn_->record_key(i, old.primary, old.secondary);
     pri_[i] = k.primary;
     if (!pri2_.empty()) pri2_[i] = k.secondary;
     return true;
@@ -255,7 +259,7 @@ class GreedyEngine {
   /// and journaling nothing, when v already has it.
   bool store_active(VertexId v, bool on) PARGREEDY_REQUIRES(writer_role_) {
     if ((active_[v] != 0) == on) return false;
-    if (txn_) txn_->engine.record_active(v, !on);
+    if (txn_) txn_->record_active(v, !on);
     active_[v] = on ? 1 : 0;
     return true;
   }
@@ -282,7 +286,7 @@ class GreedyEngine {
                     const char* label)
       PARGREEDY_REQUIRES(writer_role_, graph_.writer_role_) {
     repropagate(std::move(seeds), Repro{self()}, decision_.size() + 1, stats,
-                txn_ ? &txn_->engine : nullptr);
+                txn_);
     if (compact_if_needed_impl()) stats.compacted = true;
     ++epoch_;
     lifetime_stats_.accumulate(stats);
@@ -329,10 +333,11 @@ class GreedyEngine {
   uint64_t epoch_ = 0;             // bumped per apply_batch/compact;
                                    // restored by txn_rollback
   BatchStats lifetime_stats_;      // accumulated over apply_batch calls
-  // Attached transaction journal (not owned); nullptr outside
-  // transactions. Pointer and pointee are writer-role state: only held
-  // code reads the attachment or appends records.
-  TxnJournal* txn_ PARGREEDY_GUARDED_BY(writer_role_)
+  // Attached transaction journal (not owned; the overlay holds the same
+  // pointer); nullptr outside transactions. Pointer and pointee are
+  // writer-role state: only held code reads the attachment or appends
+  // records.
+  UndoJournal* txn_ PARGREEDY_GUARDED_BY(writer_role_)
       PARGREEDY_PT_GUARDED_BY(writer_role_) = nullptr;
 
  private:

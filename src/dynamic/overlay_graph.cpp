@@ -73,8 +73,7 @@ void OverlayGraph::ensure_edge_weights() {
   edge_weighted_ = true;
   base_weights_.assign(base_.num_edges(), kDefaultWeight);
   extra_weights_.assign(extra_edges_.size(), kDefaultWeight);
-  if (journal_)
-    journal_->record(OverlayUndoRecord::Kind::kUpgradeEdgeWeighted, 0);
+  if (journal_) journal_->record(UndoRecord::Kind::kUpgradeEdgeWeighted, 0);
 }
 
 void OverlayGraph::store_slot_weight(EdgeSlot s, Weight w) {
@@ -90,9 +89,8 @@ void OverlayGraph::set_slot_weight(EdgeSlot s, Weight w) {
   if (!edge_weighted_ && w == kDefaultWeight) return;  // already default
   ensure_edge_weights();
   if (journal_)
-    journal_->record(OverlayUndoRecord::Kind::kSlotWeight, s, slot_weight(s));
+    journal_->record(UndoRecord::Kind::kSlotWeight, s, slot_weight(s));
   store_slot_weight(s, w);
-  ++epoch_;
 }
 
 Weight OverlayGraph::slot_weight(EdgeSlot s) const {
@@ -121,14 +119,11 @@ void OverlayGraph::set_vertex_weight(VertexId v, Weight w) {
     if (w == kDefaultWeight) return;  // unweighted stays unweighted
     vertex_weighted_ = true;
     vertex_weights_.assign(num_vertices(), kDefaultWeight);
-    if (journal_)
-      journal_->record(OverlayUndoRecord::Kind::kUpgradeVertexWeighted, 0);
+    if (journal_) journal_->record(UndoRecord::Kind::kUpgradeVertexWeighted, 0);
   }
   if (journal_)
-    journal_->record(OverlayUndoRecord::Kind::kVertexWeight, v,
-                     vertex_weights_[v]);
+    journal_->record(UndoRecord::Kind::kVertexWeight, v, vertex_weights_[v]);
   vertex_weights_[v] = w;
-  ++epoch_;
 }
 
 EdgeSlot OverlayGraph::insert_edge(VertexId u, VertexId v, Weight w) {
@@ -148,16 +143,13 @@ EdgeSlot OverlayGraph::insert_edge(VertexId u, VertexId v, Weight w) {
     if (s < base_.num_edges()) {
       base_dead_[s] = 0;
       --dead_base_;
-      if (journal_)
-        journal_->record(OverlayUndoRecord::Kind::kReviveBase, s);
+      if (journal_) journal_->record(UndoRecord::Kind::kReviveBase, s);
     } else {
       extra_dead_[s - base_.num_edges()] = 0;
       if (journal_)
-        journal_->record(OverlayUndoRecord::Kind::kReviveExtra,
-                         s - base_.num_edges());
+        journal_->record(UndoRecord::Kind::kReviveExtra, s - base_.num_edges());
     }
     ++live_edges_;
-    ++epoch_;
     track_edge(e, +1);
     if (edge_weighted_) set_slot_weight(s, w);
     PG_OBS_COUNT(obs::kOverlaySlotsRevived, 1);
@@ -170,9 +162,8 @@ EdgeSlot OverlayGraph::insert_edge(VertexId u, VertexId v, Weight w) {
   extra_adj_[e.u].emplace_back(e.v, idx);
   extra_adj_[e.v].emplace_back(e.u, idx);
   ++live_edges_;
-  ++epoch_;
   track_edge(e, +1);
-  if (journal_) journal_->record(OverlayUndoRecord::Kind::kAppendExtra, idx);
+  if (journal_) journal_->record(UndoRecord::Kind::kAppendExtra, idx);
   PG_OBS_COUNT(obs::kOverlaySlotsGrown, 1);
   return base_.num_edges() + idx;
 }
@@ -183,15 +174,13 @@ EdgeSlot OverlayGraph::erase_edge(VertexId u, VertexId v) {
   if (s < base_.num_edges()) {
     base_dead_[s] = 1;
     ++dead_base_;
-    if (journal_) journal_->record(OverlayUndoRecord::Kind::kEraseBase, s);
+    if (journal_) journal_->record(UndoRecord::Kind::kEraseBase, s);
   } else {
     extra_dead_[s - base_.num_edges()] = 1;
     if (journal_)
-      journal_->record(OverlayUndoRecord::Kind::kEraseExtra,
-                       s - base_.num_edges());
+      journal_->record(UndoRecord::Kind::kEraseExtra, s - base_.num_edges());
   }
   --live_edges_;
-  ++epoch_;
   track_edge(slot_edge(s), -1);
   return s;
 }
@@ -275,72 +264,65 @@ CsrGraph OverlayGraph::active_subgraph(
   return CsrGraph::from_edges(filtered);
 }
 
-void OverlayGraph::undo_to(std::size_t mark, uint64_t epoch_at_mark) {
-  PG_CHECK_MSG(journal_ != nullptr, "undo_to requires an attached journal");
-  PG_CHECK_MSG(mark <= journal_->size(),
-               "undo mark " << mark << " beyond journal size "
-                            << journal_->size());
-  // Newest-first replay: LIFO discipline guarantees that when an append
-  // record is reached, its slot is live again and its adjacency entries
-  // are the newest at both endpoints.
-  for (std::size_t i = journal_->size(); i-- > mark;) {
-    const OverlayUndoRecord& r = (*journal_)[i];
-    switch (r.kind) {
-      case OverlayUndoRecord::Kind::kEraseBase:
-        base_dead_[r.index] = 0;
-        --dead_base_;
-        ++live_edges_;
-        track_edge(base_.edge(static_cast<EdgeId>(r.index)), +1);
-        break;
-      case OverlayUndoRecord::Kind::kEraseExtra:
-        extra_dead_[r.index] = 0;
-        ++live_edges_;
-        track_edge(extra_edges_[r.index], +1);
-        break;
-      case OverlayUndoRecord::Kind::kReviveBase:
-        base_dead_[r.index] = 1;
-        ++dead_base_;
-        --live_edges_;
-        track_edge(base_.edge(static_cast<EdgeId>(r.index)), -1);
-        break;
-      case OverlayUndoRecord::Kind::kReviveExtra:
-        extra_dead_[r.index] = 1;
-        --live_edges_;
-        track_edge(extra_edges_[r.index], -1);
-        break;
-      case OverlayUndoRecord::Kind::kAppendExtra: {
-        PG_DCHECK(!extra_edges_.empty() && !extra_dead_.back());
-        const Edge e = extra_edges_.back();
-        PG_DCHECK(extra_adj_[e.u].back().second == extra_edges_.size() - 1);
-        PG_DCHECK(extra_adj_[e.v].back().second == extra_edges_.size() - 1);
-        extra_adj_[e.u].pop_back();
-        extra_adj_[e.v].pop_back();
-        extra_edges_.pop_back();
-        extra_dead_.pop_back();
-        if (edge_weighted_) extra_weights_.pop_back();
-        --live_edges_;
-        track_edge(e, -1);
-        break;
-      }
-      case OverlayUndoRecord::Kind::kSlotWeight:
-        store_slot_weight(r.index, r.old_weight);
-        break;
-      case OverlayUndoRecord::Kind::kVertexWeight:
-        vertex_weights_[r.index] = r.old_weight;
-        break;
-      case OverlayUndoRecord::Kind::kUpgradeEdgeWeighted:
-        edge_weighted_ = false;
-        base_weights_.clear();
-        extra_weights_.clear();
-        break;
-      case OverlayUndoRecord::Kind::kUpgradeVertexWeighted:
-        vertex_weighted_ = false;
-        vertex_weights_.clear();
-        break;
+void OverlayGraph::undo(const UndoRecord& r) {
+  // Newest-first replay makes the append case safe: when an append record
+  // is reached, its slot is live again and its adjacency entries are the
+  // newest at both endpoints.
+  switch (r.kind) {
+    case UndoRecord::Kind::kEraseBase:
+      base_dead_[r.index] = 0;
+      --dead_base_;
+      ++live_edges_;
+      track_edge(base_.edge(static_cast<EdgeId>(r.index)), +1);
+      break;
+    case UndoRecord::Kind::kEraseExtra:
+      extra_dead_[r.index] = 0;
+      ++live_edges_;
+      track_edge(extra_edges_[r.index], +1);
+      break;
+    case UndoRecord::Kind::kReviveBase:
+      base_dead_[r.index] = 1;
+      ++dead_base_;
+      --live_edges_;
+      track_edge(base_.edge(static_cast<EdgeId>(r.index)), -1);
+      break;
+    case UndoRecord::Kind::kReviveExtra:
+      extra_dead_[r.index] = 1;
+      --live_edges_;
+      track_edge(extra_edges_[r.index], -1);
+      break;
+    case UndoRecord::Kind::kAppendExtra: {
+      PG_DCHECK(!extra_edges_.empty() && !extra_dead_.back());
+      const Edge e = extra_edges_.back();
+      PG_DCHECK(extra_adj_[e.u].back().second == extra_edges_.size() - 1);
+      PG_DCHECK(extra_adj_[e.v].back().second == extra_edges_.size() - 1);
+      extra_adj_[e.u].pop_back();
+      extra_adj_[e.v].pop_back();
+      extra_edges_.pop_back();
+      extra_dead_.pop_back();
+      if (edge_weighted_) extra_weights_.pop_back();
+      --live_edges_;
+      track_edge(e, -1);
+      break;
     }
+    case UndoRecord::Kind::kSlotWeight:
+      store_slot_weight(r.index, r.old_weight());
+      break;
+    case UndoRecord::Kind::kVertexWeight:
+      vertex_weights_[r.index] = r.old_weight();
+      break;
+    case UndoRecord::Kind::kUpgradeEdgeWeighted:
+      edge_weighted_ = false;
+      base_weights_.clear();
+      extra_weights_.clear();
+      break;
+    case UndoRecord::Kind::kUpgradeVertexWeighted:
+      vertex_weighted_ = false;
+      vertex_weights_.clear();
+      break;
+    default:
+      PG_CHECK_MSG(false, "engine undo record passed to OverlayGraph::undo");
   }
-  journal_->truncate(mark);
-  epoch_ = epoch_at_mark;
 }
 
 void OverlayGraph::enable_frontier_tracking(std::vector<uint32_t> part) {
@@ -388,7 +370,6 @@ void OverlayGraph::compact() {
   extra_weights_.clear();
   live_edges_ = base_.num_edges();
   dead_base_ = 0;
-  ++epoch_;
 }
 
 }  // namespace pargreedy

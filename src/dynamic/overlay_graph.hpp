@@ -26,14 +26,13 @@
 // base CSR, and likewise stamped onto every snapshot and preserved across
 // compact(). Purely unweighted overlays allocate no weight storage.
 //
-// Undo hooks: the transactional layer attaches an OverlayJournal
-// (set_journal) and every mutation appends its inverse record; undo_to()
-// replays records newest-first back to a watermark, restoring the overlay
-// bit-exactly — see undo_log.hpp for the record catalogue and the
-// O(dirty)-checkpoint argument. Each successful mutation also bumps an
-// epoch stamp (epoch()), which snapshots record so staleness is
-// detectable. compact() has no inverse and therefore refuses to run while
-// a journal is attached.
+// Undo hooks: the transactional layer attaches its UndoJournal
+// (set_journal) and every mutation appends its inverse record; the
+// engine's rollback replays the journal newest-first and hands each
+// overlay record to undo(), restoring the overlay bit-exactly — see
+// undo_log.hpp for the record catalogue and the O(dirty)-checkpoint
+// argument. compact() has no inverse and therefore refuses to run while a
+// journal is attached.
 //
 // Concurrency contract (machine-checked): one writer, many readers. The
 // mutators may only be called by the single thread driving the overlay;
@@ -223,28 +222,14 @@ class OverlayGraph {
   /// while attached, every mutation appends its inverse record and
   /// compact() is forbidden. The journal is owned by the caller (the
   /// transaction layer) and must outlive the attachment.
-  void set_journal(OverlayJournal* journal) PARGREEDY_REQUIRES(writer_role_) {
+  void set_journal(UndoJournal* journal) PARGREEDY_REQUIRES(writer_role_) {
     journal_ = journal;
   }
 
-  /// The attached undo log, or nullptr.
-  [[nodiscard]] OverlayJournal* journal() const
-      PARGREEDY_REQUIRES(writer_role_) {
-    return journal_;
-  }
-
-  /// Monotonic mutation stamp: bumped by every successful state change
-  /// (edge kill/revive/append, weight store, compaction). undo_to()
-  /// restores the stamp captured alongside the watermark, so equal epochs
-  /// on the same overlay mean bit-identical delta state.
-  [[nodiscard]] uint64_t epoch() const noexcept { return epoch_; }
-
-  /// Replays the attached journal's records newest-first down to `mark`
-  /// (a size() watermark captured earlier), truncates the journal to the
-  /// mark, and restores the epoch stamp to `epoch_at_mark`. Checked: a
-  /// journal must be attached and the mark must not exceed its size.
-  void undo_to(std::size_t mark, uint64_t epoch_at_mark)
-      PARGREEDY_REQUIRES(writer_role_);
+  /// Undoes one overlay record. Records must be undone newest-first, each
+  /// against the state its mutation left (GreedyEngine::txn_rollback
+  /// replays the journal that way). Checked: `r` has an overlay kind.
+  void undo(const UndoRecord& r) PARGREEDY_REQUIRES(writer_role_);
 
   // ---- Frontier tracking (sharding support) ---------------------------
   //
@@ -270,21 +255,10 @@ class OverlayGraph {
     return !part_.empty();
   }
 
-  /// Partition label of v. Precondition: frontier_tracking().
-  [[nodiscard]] uint32_t partition_of(VertexId v) const {
-    return part_[v];
-  }
-
   /// Number of live edges incident on v whose other endpoint lives in a
   /// different partition. Precondition: frontier_tracking().
   [[nodiscard]] uint64_t cross_degree(VertexId v) const {
     return cross_deg_[v];
-  }
-
-  /// True iff v currently has at least one live cross-partition edge.
-  /// Precondition: frontier_tracking().
-  [[nodiscard]] bool on_frontier(VertexId v) const {
-    return cross_deg_[v] != 0;
   }
 
  private:
@@ -332,8 +306,6 @@ class OverlayGraph {
   uint64_t dead_base_ = 0;  // dead extra slots need no counter: they stay
                             // inside extra_edges_.size() for the
                             // overlay_fraction trigger
-  uint64_t epoch_ = 0;      // bumped per successful mutation; restored by
-                            // undo_to
   // Frontier tracking (empty = disabled): partition label per vertex and
   // live cross-partition degree per vertex, maintained at every liveness
   // flip (see the public accessors above).
@@ -341,7 +313,7 @@ class OverlayGraph {
   std::vector<uint64_t> cross_deg_;
   // Attached undo log (not owned). Guarded — pointer and pointee — by
   // the writer role: only writer-held code reads or appends records.
-  OverlayJournal* journal_ PARGREEDY_GUARDED_BY(writer_role_)
+  UndoJournal* journal_ PARGREEDY_GUARDED_BY(writer_role_)
       PARGREEDY_PT_GUARDED_BY(writer_role_) = nullptr;
 };
 

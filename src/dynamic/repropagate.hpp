@@ -91,7 +91,7 @@ void sort_unique(std::vector<Item>& items) {
 /// are untouched). Callers outside a transaction pass nullptr.
 template <typename Item, typename Engine>
 void repropagate(std::vector<Item> frontier, Engine&& engine, uint64_t limit,
-                 BatchStats& stats, EngineJournal* journal = nullptr) {
+                 BatchStats& stats, UndoJournal* journal = nullptr) {
   sort_unique(frontier);
   stats.seeds = frontier.size();
 

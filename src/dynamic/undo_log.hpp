@@ -1,4 +1,4 @@
-// Undo logs: the state-capture seam the transactional layer (src/txn/)
+// Undo journal: the state-capture seam the transactional layer (src/txn/)
 // builds on.
 //
 // A transaction needs to take a checkpoint of a dynamic engine in O(dirty)
@@ -7,36 +7,39 @@
 // pages and mutable deltas: the OverlayGraph's base CSR (and the engine's
 // initial solution derived from it) never mutates in place, so a
 // checkpoint only has to capture the *changes* layered on top. That is
-// what these journals record: while a journal is attached, every mutation
-// of the delta state appends one inverse record, and rolling back replays
-// the records in reverse. A checkpoint is therefore just a pair of record
-// counts plus a handful of scalars (TxnMark) — O(1) to take, O(records
-// since the mark) to restore.
+// what the journal records: while it is attached, every mutation of the
+// delta state appends one inverse record, and rolling back replays the
+// records in reverse. A checkpoint is therefore one record count plus a
+// handful of scalars (TxnMark) — O(1) to take, O(records since the mark)
+// to restore.
 //
-// Two journals, because the state lives on two levels:
+// One journal for both levels of state. The overlay and the engine append
+// to the same UndoJournal, in mutation order:
 //
-//   OverlayJournal  graph structure — edge kills/revivals, inserted-slot
-//                   appends, in-place weight stores, the lazy
-//                   unweighted -> weighted upgrades;
-//   EngineJournal   engine decisions — solution-bit flips (recorded by
-//                   repropagate() as it commits them), activity flips,
-//                   cached-priority-key refreshes, per-slot array growth.
+//   overlay kinds  graph structure — edge kills/revivals, inserted-slot
+//                  appends, in-place weight stores, the lazy
+//                  unweighted -> weighted upgrades;
+//   engine kinds   engine decisions — solution-bit flips (recorded by
+//                  repropagate() as it commits them), activity flips,
+//                  cached-priority-key refreshes, per-slot array growth.
 //
-// Replay order: records within one journal are replayed newest-first,
-// which makes the LIFO invariants hold (an inserted slot's append record
-// is always undone after every record that referenced the slot). The two
-// journals are independent — all records address state by stable index
-// (vertex id, edge/slot id), so engine records never consult overlay
-// structure and vice versa, and the transaction layer may replay them in
-// either order.
+// Replay order: GreedyEngine::txn_rollback is the one replay loop. It
+// walks the records strictly newest-first across both levels, undoing
+// engine kinds itself and handing overlay kinds to OverlayGraph::undo.
+// Newest-first makes the LIFO invariants hold (an inserted slot's append
+// record is undone after every record that referenced the slot; a growth
+// record after the key records of the items it added), and it means every
+// record is undone against exactly the state that followed its mutation:
+// an engine undo may read overlay state, such as a slot's endpoints, and
+// sees the overlay as it was when the record was written.
 //
 // Compaction is the one mutation with no cheap inverse (it rebuilds the
-// base CSR and reassigns every slot), so it is forbidden while a journal
+// base CSR and reassigns every slot), so it is forbidden while the journal
 // is attached: the engines defer auto-compaction to commit time and
 // OverlayGraph::compact() checks.
 //
-// Concurrency contract: the journal types themselves carry no capability —
-// a journal is only ever reached through an attaching pointer
+// Concurrency contract: the journal type itself carries no capability —
+// it is only ever reached through an attaching pointer
 // (OverlayGraph::journal_, the engines' txn_), and those pointers are
 // annotated GUARDED_BY/PT_GUARDED_BY the owner's writer role. Every
 // record()/truncate() call therefore already sits inside writer-held code,
@@ -44,6 +47,7 @@
 // support/thread_annotations.hpp).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -53,11 +57,12 @@
 
 namespace pargreedy {
 
-/// One inverse record of an OverlayGraph mutation. `index` is a base edge
-/// id, an extra-layer index, a slot, or a vertex id depending on the kind;
-/// `old_weight` is only meaningful for the weight kinds.
-struct OverlayUndoRecord {
+/// One inverse record of an overlay or engine mutation. Which fields are
+/// meaningful depends on the kind.
+struct UndoRecord {
   enum class Kind : uint8_t {
+    // Overlay kinds, undone by OverlayGraph::undo. `index` is a base edge
+    // id, an extra-layer index, a slot or a vertex id.
     kEraseBase,        ///< base edge was killed; undo revives it
     kEraseExtra,       ///< extra edge was killed; undo revives it
     kReviveBase,       ///< dead base edge was revived; undo re-kills it
@@ -67,109 +72,82 @@ struct OverlayUndoRecord {
     kVertexWeight,     ///< vertex weight overwritten; undo restores old
     kUpgradeEdgeWeighted,    ///< overlay became edge-weighted; undo clears
     kUpgradeVertexWeighted,  ///< overlay became vertex-weighted; undo clears
-  };
-
-  Kind kind;
-  uint64_t index = 0;
-  Weight old_weight = kDefaultWeight;
-};
-
-/// Append-only inverse log of OverlayGraph mutations. Owned by the
-/// transaction layer, attached via OverlayGraph::set_journal(), replayed
-/// by OverlayGraph::undo_to().
-class OverlayJournal {
- public:
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-
-  void record(OverlayUndoRecord::Kind kind, uint64_t index,
-              Weight old_weight = kDefaultWeight) {
-    records_.push_back({kind, index, old_weight});
-  }
-
-  [[nodiscard]] const OverlayUndoRecord& operator[](std::size_t i) const {
-    return records_[i];
-  }
-
-  /// Drops every record at or past `mark` (OverlayGraph::undo_to replays
-  /// them first).
-  void truncate(std::size_t mark) { records_.resize(mark); }
-
- private:
-  std::vector<OverlayUndoRecord> records_;
-};
-
-/// One inverse record of a dynamic-engine mutation. `item` is a VertexId
-/// or an EdgeSlot (both fit in 64 bits); which fields are meaningful
-/// depends on the kind.
-struct EngineUndoRecord {
-  enum class Kind : uint8_t {
+    // Engine kinds, undone by GreedyEngine::txn_rollback. `index` is a
+    // VertexId or an EdgeSlot (both fit in 64 bits).
     kDecision,  ///< solution bit flipped; old value in `flag`
     kActive,    ///< activity bit flipped; old value in `flag`
     kKey,       ///< cached priority key refreshed; old words in a/b
-    kGrowth,    ///< per-item arrays grew; old size in `item`, undo shrinks
-                ///< (only DynamicMatching's slot arrays grow)
+    kGrowth,    ///< per-item arrays grew; old size in `index`, undo
+                ///< shrinks (only DynamicMatching's slot arrays grow)
   };
 
   Kind kind;
   uint8_t flag = 0;
-  uint64_t item = 0;
-  uint64_t old_a = 0;
-  uint64_t old_b = 0;
+  uint64_t index = 0;
+  uint64_t old_a = 0;  ///< old key's primary word, or the old weight's bits
+  uint64_t old_b = 0;  ///< old key's secondary word
+
+  /// The overwritten weight of a kSlotWeight / kVertexWeight record.
+  [[nodiscard]] Weight old_weight() const {
+    return std::bit_cast<Weight>(old_a);
+  }
 };
 
-/// Append-only inverse log of engine-level mutations (solution bits,
-/// activity, cached keys, slot-array growth). repropagate() records
-/// decision flips into it when one is attached.
-class EngineJournal {
+/// Append-only inverse log of overlay and engine mutations, in mutation
+/// order. Owned by the transaction layer, attached through
+/// GreedyEngine::txn_attach (which forwards it to the engine's
+/// OverlayGraph), replayed by GreedyEngine::txn_rollback.
+class UndoJournal {
  public:
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
+  [[nodiscard]] const UndoRecord& operator[](std::size_t i) const {
+    return records_[i];
+  }
+
+  // Overlay record sites.
+  void record(UndoRecord::Kind kind, uint64_t index) {
+    records_.push_back({kind, 0, index, 0, 0});
+  }
+  void record(UndoRecord::Kind kind, uint64_t index, Weight old_weight) {
+    records_.push_back(
+        {kind, 0, index, std::bit_cast<uint64_t>(old_weight), 0});
+  }
+
+  // Engine record sites.
   void record_decision(uint64_t item, bool old_value) {
-    records_.push_back({EngineUndoRecord::Kind::kDecision,
+    records_.push_back({UndoRecord::Kind::kDecision,
                         static_cast<uint8_t>(old_value ? 1 : 0), item, 0, 0});
   }
   void record_active(uint64_t item, bool old_value) {
-    records_.push_back({EngineUndoRecord::Kind::kActive,
+    records_.push_back({UndoRecord::Kind::kActive,
                         static_cast<uint8_t>(old_value ? 1 : 0), item, 0, 0});
   }
   void record_key(uint64_t item, uint64_t old_primary,
                   uint64_t old_secondary) {
     records_.push_back(
-        {EngineUndoRecord::Kind::kKey, 0, item, old_primary, old_secondary});
+        {UndoRecord::Kind::kKey, 0, item, old_primary, old_secondary});
   }
   void record_growth(uint64_t old_size) {
-    records_.push_back(
-        {EngineUndoRecord::Kind::kGrowth, 0, old_size, 0, 0});
+    records_.push_back({UndoRecord::Kind::kGrowth, 0, old_size, 0, 0});
   }
 
-  [[nodiscard]] const EngineUndoRecord& operator[](std::size_t i) const {
-    return records_[i];
-  }
-
+  /// Drops every record at or past `mark` (after txn_rollback replayed
+  /// them, or at commit, which drops them all).
   void truncate(std::size_t mark) { records_.resize(mark); }
 
  private:
-  std::vector<EngineUndoRecord> records_;
+  std::vector<UndoRecord> records_;
 };
 
-/// The pair of journals a transaction attaches to one engine
-/// (GreedyEngine::txn_attach). The engine forwards `overlay` to its
-/// OverlayGraph and writes `engine` itself.
-struct TxnJournal {
-  EngineJournal engine;
-  OverlayJournal overlay;
-};
-
-/// An O(1) checkpoint of a journaled engine: journal watermarks plus the
-/// scalar state a rollback cannot reconstruct from the records alone.
+/// An O(1) checkpoint of a journaled engine: the journal watermark plus
+/// the scalar state a rollback cannot reconstruct from the records alone.
 /// Valid only while the journal it was taken against retains the records
-/// above the marks (i.e. within the enclosing transaction).
+/// above the mark (i.e. within the enclosing transaction).
 struct TxnMark {
-  std::size_t engine_records = 0;   ///< EngineJournal watermark
-  std::size_t overlay_records = 0;  ///< OverlayJournal watermark
-  uint64_t overlay_epoch = 0;       ///< OverlayGraph::epoch() at capture
-  uint64_t engine_epoch = 0;        ///< engine epoch() at capture
-  BatchStats lifetime;              ///< engine lifetime_stats() at capture
+  std::size_t records = 0;  ///< UndoJournal watermark
+  uint64_t epoch = 0;       ///< engine epoch() at capture
+  BatchStats lifetime;      ///< engine lifetime_stats() at capture
 };
 
 }  // namespace pargreedy

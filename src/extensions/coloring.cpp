@@ -30,26 +30,35 @@ uint32_t first_fit_color(const CsrGraph& g, const VertexOrder& order,
   return static_cast<uint32_t>(deg);  // unreachable: deg+1 slots, deg nbrs
 }
 
-/// speculative_for step: a vertex commits once all earlier neighbors are
-/// colored; vertices committing in the same round are never dependent, so
-/// the first-fit computation reads stable colors. Whether an earlier
-/// neighbor colored in the same round is seen depends on the schedule, so
-/// the colors are deterministic and the round count is not.
+/// speculative_for step: reserve marks v ready when every earlier neighbor
+/// was colored before the round; commit colors only ready vertices. So
+/// first-fit reads only colors of earlier rounds, no phase reads what the
+/// same phase writes, and a vertex is colored in the round equal to its
+/// longest-path depth in the priority DAG (rounds and work depend only on
+/// the input and the window).
 struct ColorStep {
   const CsrGraph& g;
   const VertexOrder& order;
   std::vector<uint32_t>& color;
+  std::vector<uint8_t> ready;  // per vertex, written by reserve
 
-  PhaseResult reserve(int64_t) { return {}; }
-
-  PhaseResult commit(int64_t i) {
+  PhaseResult reserve(int64_t i) {
     const VertexId v = order.nth(static_cast<uint64_t>(i));
+    ready[v] = 1;
     for (VertexId w : g.neighbors(v)) {
       if (!order.earlier(w, v)) continue;
       if (std::atomic_ref<const uint32_t>(color[w]).load(
-              std::memory_order_acquire) == kUncolored)
-        return {};  // an earlier neighbor is pending: retry
+              std::memory_order_acquire) == kUncolored) {
+        ready[v] = 0;  // an earlier neighbor is pending: retry next round
+        break;
+      }
     }
+    return {};
+  }
+
+  PhaseResult commit(int64_t i) {
+    const VertexId v = order.nth(static_cast<uint64_t>(i));
+    if (!ready[v]) return {};
     thread_local std::vector<uint8_t> scratch;
     const uint32_t c = first_fit_color(g, order, color, v, scratch);
     std::atomic_ref<uint32_t>(color[v]).store(c, std::memory_order_release);
@@ -94,7 +103,8 @@ ColoringResult greedy_coloring_prefix(const CsrGraph& g,
                "ordering size != vertex count");
   ColoringResult result;
   result.color.assign(g.num_vertices(), kUncolored);
-  ColorStep step{g, order, result.color};
+  ColorStep step{g, order, result.color,
+                 std::vector<uint8_t>(g.num_vertices(), 0)};
   const uint64_t n = g.num_vertices();
   result.profile = speculative_for(step, 0, static_cast<int64_t>(n),
                                    clamp_window(prefix_size, n));

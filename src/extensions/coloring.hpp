@@ -34,7 +34,9 @@ ColoringResult greedy_coloring_sequential(const CsrGraph& g,
                                           const VertexOrder& order);
 
 /// Prefix-parallel first-fit coloring; identical output to the sequential
-/// algorithm for any worker count.
+/// algorithm for any worker count. Its rounds and work depend only on the
+/// input and the window: at a window covering the graph, rounds equal
+/// longest_priority_path(g, order).
 ColoringResult greedy_coloring_prefix(const CsrGraph& g,
                                       const VertexOrder& order,
                                       uint64_t prefix_size);

@@ -86,26 +86,6 @@ std::string labeled_name(const std::string& name, const std::string& key,
   return out;
 }
 
-std::string labeled_name(
-    const std::string& name,
-    std::vector<std::pair<std::string, std::string>> labels) {
-  if (labels.empty()) return name;
-  std::sort(labels.begin(), labels.end());
-  std::string out = name;
-  out += '{';
-  const char* sep = "";
-  for (const auto& [key, value] : labels) {
-    out += sep;
-    out += key;
-    out += "=\"";
-    out += escape_label_value(value);
-    out += '"';
-    sep = ",";
-  }
-  out += '}';
-  return out;
-}
-
 std::pair<std::string, std::string> split_labels(const std::string& key) {
   const std::size_t brace = key.find('{');
   if (brace == std::string::npos || key.back() != '}') return {key, ""};

@@ -160,12 +160,6 @@ struct MetricSample {
 std::string labeled_name(const std::string& name, const std::string& key,
                          const std::string& value);
 
-/// Multi-label canonical key: labels are sorted by key and values are
-/// escaped, so the same label set always interns the same metric.
-std::string labeled_name(
-    const std::string& name,
-    std::vector<std::pair<std::string, std::string>> labels);
-
 /// Splits a registry key into {base name, label part}: the label part is
 /// the `key="value",...` text between the braces, "" when unlabeled.
 std::pair<std::string, std::string> split_labels(const std::string& key);
@@ -185,20 +179,12 @@ class MetricsRegistry {
   /// The histogram named `name`, registering it on first use.
   Histogram& histogram(const std::string& name);
 
-  /// Labeled variants: the metric keyed `name{key="value"}`. Uncached
-  /// lookups (one mutex + map find) — for cold per-batch paths; hot
-  /// paths keep using the unlabeled static-cached macros.
+  /// Labeled variant: the counter keyed `name{key="value"}`. An
+  /// uncached lookup (one mutex + map find) — for cold per-batch paths;
+  /// hot paths keep using the unlabeled static-cached macros.
   Counter& counter(const std::string& name, const std::string& key,
                    const std::string& value) {
     return counter(labeled_name(name, key, value));
-  }
-  Gauge& gauge(const std::string& name, const std::string& key,
-               const std::string& value) {
-    return gauge(labeled_name(name, key, value));
-  }
-  Histogram& histogram(const std::string& name, const std::string& key,
-                       const std::string& value) {
-    return histogram(labeled_name(name, key, value));
   }
 
   /// Relaxed-read snapshot of every registered metric, name-sorted.

@@ -76,15 +76,6 @@ inline bool in_parallel() {
 #endif
 }
 
-/// Id of the calling worker in [0, num_workers()).
-inline int worker_id() {
-#if defined(_OPENMP)
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
-
 /// RAII guard that pins the worker count for a scope and restores it
 /// after. Holds `detail::worker_config_role` for the scope, making it the
 /// sanctioned way to reconfigure the width (constructor/destructor bodies

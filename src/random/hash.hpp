@@ -25,11 +25,6 @@ constexpr uint64_t hash64(uint64_t seed, uint64_t i) {
   return mix64(mix64(seed) ^ mix64(i + 0x9e3779b97f4a7c15ULL));
 }
 
-/// 32-bit variant (top bits of the 64-bit hash).
-constexpr uint32_t hash32(uint64_t seed, uint64_t i) {
-  return static_cast<uint32_t>(hash64(seed, i) >> 32);
-}
-
 /// Uniform draw from [0, bound) via Lemire's multiply-shift reduction.
 /// Slightly biased for bounds that do not divide 2^64; negligible for the
 /// bounds used here (graph sizes << 2^64).

@@ -6,9 +6,9 @@
 // into shared immutable pages (the base CSR and the initial solution
 // derived from it) and mutable deltas (overlay layers, decision bits,
 // cached keys), and while a transaction's undo journal is attached every
-// delta mutation logs its inverse. A snapshot is therefore the pair of
-// journal watermarks plus the scalar stamps a replay cannot reconstruct
-// (epochs, lifetime stats) — the TxnMark — tagged with the owning
+// delta mutation logs its inverse. A snapshot is therefore the journal
+// watermark plus the scalar stamps a replay cannot reconstruct (epoch,
+// lifetime stats) — the TxnMark — tagged with the owning
 // transaction's id so a stale snapshot (taken in an earlier transaction,
 // whose journal records are gone) is rejected instead of silently
 // corrupting state.
@@ -31,7 +31,7 @@ namespace pargreedy {
 /// also when the transaction rolls back *past* it (to an earlier
 /// snapshot) — both misuses throw rather than restore a wrong state.
 struct EngineSnapshot {
-  TxnMark mark;              ///< journal watermarks + scalar stamps
+  TxnMark mark;              ///< journal watermark + scalar stamps
   uint64_t txn_id = 0;       ///< the transaction this snapshot belongs to
   uint64_t rollback_seq = 0; ///< rollbacks already performed at capture
                              ///< (validity check against later rewinds)

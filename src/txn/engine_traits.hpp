@@ -11,13 +11,14 @@
 //                      a decision record's item is an edge slot, whose
 //                      two endpoints are the entries that may change.
 //
-// changed_entries() reads the journal's decision records from `since`
-// on. Under a journal every solution change starts at a recorded
-// decision flip: an in_set bit, or a matched bit of a slot incident to
-// the vertex (repropagate() and matching's eager drops record each one,
-// and rollback_to() truncates the records it undoes). So the vertices
-// the records name cover every entry that differs from the last
-// published version. The pairs are deduplicated by vertex and carry the
+// changed_entries() reads the decision records of the open
+// transaction's journal (all of it: begin() finds it empty). Under a
+// journal every solution change starts at a recorded decision flip: an
+// in_set bit, or a matched bit of a slot incident to the vertex
+// (repropagate() and matching's eager drops record each one, and
+// rollback_to() truncates the records it undoes). So the vertices the
+// records name cover every entry that differs from the last published
+// version. The pairs are deduplicated by vertex and carry the
 // current value; an entry flipped and flipped back is a harmless
 // unchanged pair.
 #pragma once
@@ -59,14 +60,14 @@ struct MisTxnTraits {
     return engine.solution();
   }
 
-  /// (vertex, in_set) for every vertex a decision record in
-  /// journal[since, size) names, sorted by vertex.
+  /// (vertex, in_set) for every vertex a decision record in `journal`
+  /// names, sorted by vertex.
   static std::vector<EntryChange<Value>> changed_entries(
-      const Engine& engine, const EngineJournal& journal, std::size_t since) {
+      const Engine& engine, const UndoJournal& journal) {
     std::vector<VertexId> touched;
-    for (std::size_t i = since; i < journal.size(); ++i)
-      if (journal[i].kind == EngineUndoRecord::Kind::kDecision)
-        touched.push_back(static_cast<VertexId>(journal[i].item));
+    for (std::size_t i = 0; i < journal.size(); ++i)
+      if (journal[i].kind == UndoRecord::Kind::kDecision)
+        touched.push_back(static_cast<VertexId>(journal[i].index));
     sort_unique(touched);
     std::vector<EntryChange<Value>> out;
     out.reserve(touched.size());
@@ -89,14 +90,14 @@ struct MatchingTxnTraits {
   }
 
   /// (vertex, matched_with) for both endpoints of every slot a decision
-  /// record in journal[since, size) names, sorted by vertex. Slots are
-  /// mapped to endpoints here, before commit's compaction re-keys them.
+  /// record in `journal` names, sorted by vertex. Slots are mapped to
+  /// endpoints here, before commit's compaction re-keys them.
   static std::vector<EntryChange<Value>> changed_entries(
-      const Engine& engine, const EngineJournal& journal, std::size_t since) {
+      const Engine& engine, const UndoJournal& journal) {
     std::vector<VertexId> touched;
-    for (std::size_t i = since; i < journal.size(); ++i) {
-      if (journal[i].kind != EngineUndoRecord::Kind::kDecision) continue;
-      const Edge e = engine.graph().slot_edge(journal[i].item);
+    for (std::size_t i = 0; i < journal.size(); ++i) {
+      if (journal[i].kind != UndoRecord::Kind::kDecision) continue;
+      const Edge e = engine.graph().slot_edge(journal[i].index);
       touched.push_back(e.u);
       touched.push_back(e.v);
     }

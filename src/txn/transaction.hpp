@@ -22,16 +22,16 @@
 //                  mutation logs its inverse.
 //   savepoint() /  nested speculative batches: a savepoint is an O(1)
 //   rollback_to()  checkpoint inside the transaction; rollback_to replays
-//                  the undo logs down to it (strictly LIFO: rolling back
-//                  to an earlier savepoint invalidates later ones).
+//                  the undo journal down to it (strictly LIFO: rolling
+//                  back to an earlier savepoint invalidates later ones).
 //   commit()       publishes the new state as version version()+1 —
 //                  the previous version patched with the entries the
 //                  journal's decision records name, written into a
 //                  released version's buffer replayed forward
 //                  (O(changed); one flat copy when it cannot be) —
-//                  then drops the journal and runs the deferred
+//                  then empties the journal and runs the deferred
 //                  compaction check.
-//   abort()        replays the undo logs back to begin(): overlay,
+//   abort()        replays the undo journal back to begin(): overlay,
 //                  solution, cached priority keys, activity, and lifetime
 //                  stats are restored bit-exactly (the differential suite
 //                  asserts this against never-applied twins).
@@ -83,7 +83,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dynamic/batch_stats.hpp"
@@ -211,13 +210,13 @@ class Transaction {
             static_cast<uint64_t>(rollback_marks_.size()), txn_stats_};
   }
 
-  /// Replays the undo logs down to `snapshot`, restoring the engine
+  /// Replays the undo journal down to `snapshot`, restoring the engine
   /// bit-exactly to that point; later savepoints become invalid (LIFO).
   /// Checked: the snapshot was taken in the currently open transaction
   /// and no earlier rollback rewound past it — a stale snapshot's
-  /// watermarks may fall mid-way through unrelated later records, so
+  /// watermark may fall mid-way through unrelated later records, so
   /// restoring it would silently corrupt state. Rolling back to the same
-  /// snapshot repeatedly is fine (its watermarks stay exact).
+  /// snapshot repeatedly is fine (its watermark stays exact).
   void rollback_to(const EngineSnapshot& snapshot)
       PARGREEDY_REQUIRES(writer_role_) {
     PG_CHECK_MSG(active_, "rollback_to() outside a transaction");
@@ -227,23 +226,16 @@ class Transaction {
                                               << txn_id_);
     for (std::size_t i = snapshot.rollback_seq; i < rollback_marks_.size();
          ++i) {
-      // Both journals matter: a batch can append overlay records while
-      // appending zero engine records (an insert that flips no decision,
-      // a key-unchanged reweight), so two savepoints can share an engine
-      // watermark yet differ on the overlay one.
-      PG_CHECK_MSG(
-          rollback_marks_[i].first >= snapshot.mark.engine_records &&
-              rollback_marks_[i].second >= snapshot.mark.overlay_records,
-          "snapshot was invalidated by an earlier rollback_to() that "
-          "rewound past it");
+      PG_CHECK_MSG(rollback_marks_[i] >= snapshot.mark.records,
+                   "snapshot was invalidated by an earlier rollback_to() "
+                   "that rewound past it");
     }
     PG_OBS_COUNT(obs::kTxnRollbackTo, 1);
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
     PG_OBS_SPAN(span_rollback, kTxnRollbackToSpan);
     support::RoleScope engine_writer(engine_.writer_role_);
     engine_.txn_rollback(snapshot.mark);
-    rollback_marks_.emplace_back(snapshot.mark.engine_records,
-                                 snapshot.mark.overlay_records);
+    rollback_marks_.push_back(snapshot.mark.records);
     txn_stats_ = snapshot.txn_stats;
   }
 
@@ -251,33 +243,32 @@ class Transaction {
   /// returns the new version: publishes it as a patch of the previous
   /// version (O(changed entries) when a released buffer can be replayed
   /// forward, one flat copy otherwise — see txn/published_state.hpp),
-  /// then drops the journal and runs the deferred compaction check. Strong exception
-  /// safety for the publication: a throw while gathering the changes or
-  /// building the version leaves the transaction open and the published
-  /// window unchanged, so abort() restores the engine. A throw from the
-  /// deferred compaction propagates after the version is published and
-  /// the transaction closed; compaction is all-or-nothing, so the engine
-  /// keeps its committed, uncompacted state and the next begin() works.
+  /// then empties the journal and runs the deferred compaction check.
+  /// Strong exception safety for the publication: a throw while gathering
+  /// the changes or building the version leaves the transaction open and
+  /// the published window unchanged, so abort() restores the engine. A
+  /// throw from the deferred compaction propagates after the version is
+  /// published and the transaction closed; compaction is all-or-nothing,
+  /// so the engine keeps its committed, uncompacted state and the next
+  /// begin() works.
   uint64_t commit() PARGREEDY_REQUIRES(writer_role_) {
     PG_CHECK_MSG(active_, "commit() outside a transaction");
     PG_OBS_COUNT(obs::kTxnCommit, 1);
     PG_OBS_COUNT_L(obs::kTxnCommit, "engine", Traits::kName, 1);
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
-    PG_OBS_EVENT1(kTxnCommit, journal_.engine.size() - base_.engine_records);
-    PG_OBS_SPAN1(span_commit, kTxnCommitSpan,
-                 journal_.engine.size() - base_.engine_records);
+    PG_OBS_EVENT1(kTxnCommit, journal_.size());
+    PG_OBS_SPAN1(span_commit, kTxnCommitSpan, journal_.size());
     support::RoleScope engine_writer(engine_.writer_role_);
     // The publication point, first: it reads the journal (and matching's
     // slot endpoints, which the compaction below re-keys), and one atomic
     // swap inside publish() shows the new version to concurrent readers.
     // Compaction changes only overlay layout, never a solution value.
+    // begin() found the journal empty, so all of it is this transaction's.
     support::RoleScope published_writer(published_.writer_role_);
     const uint64_t version = published_.writer_latest_version() + 1;
     published_.publish(version, engine_.epoch(),
-                       Traits::changed_entries(engine_, journal_.engine,
-                                               base_.engine_records));
-    journal_.engine.truncate(base_.engine_records);
-    journal_.overlay.truncate(base_.overlay_records);
+                       Traits::changed_entries(engine_, journal_));
+    journal_.truncate(0);
     engine_.txn_detach();
     active_ = false;
     // Refreshed on both sides of the deferred compaction: if it throws,
@@ -288,7 +279,7 @@ class Transaction {
     return version;
   }
 
-  /// Discards the transaction: replays the undo logs back to begin().
+  /// Discards the transaction: replays the undo journal back to begin().
   /// Overlay, solution, cached keys, activity and lifetime stats are
   /// restored bit-exactly; the published window is untouched.
   void abort() PARGREEDY_REQUIRES(writer_role_) {
@@ -343,8 +334,7 @@ class Transaction {
     }
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
     PG_OBS_EVENT1(kTxnAbort, cause == AbortCause::kExplicit ? 1 : 0);
-    PG_OBS_SPAN1(span_abort, kTxnAbortSpan,
-                 journal_.engine.size() - base_.engine_records);
+    PG_OBS_SPAN1(span_abort, kTxnAbortSpan, journal_.size());
     support::RoleScope engine_writer(engine_.writer_role_);
     engine_.txn_rollback(base_);
     engine_.txn_detach();
@@ -367,18 +357,19 @@ class Transaction {
   }
 
   Engine& engine_;
-  TxnJournal journal_;
+  // Empty between transactions: commit empties it and abort replays it
+  // down to begin()'s watermark, 0.
+  UndoJournal journal_;
   PublishedState<Value> published_;  // committed history; lock-free reads
   uint64_t expected_epoch_;  // engine epoch after the last commit/abort
   uint64_t txn_id_ = 0;      // guards savepoints across transactions
   bool active_ = false;
   TxnMark base_;             // begin() checkpoint of the open transaction
   BatchStats txn_stats_;     // accumulated over the open transaction
-  // (engine, overlay) journal watermarks of every rollback_to() in the
-  // open transaction, in order — a savepoint is valid iff no later
-  // rollback rewound below either of its own watermarks (checked in
-  // rollback_to).
-  std::vector<std::pair<std::size_t, std::size_t>> rollback_marks_;
+  // Journal watermarks of every rollback_to() in the open transaction, in
+  // order — a savepoint is valid iff no later rollback rewound below its
+  // own watermark (checked in rollback_to).
+  std::vector<std::size_t> rollback_marks_;
 };
 
 /// Transactional wrapper for the dynamic MIS engine.

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Unit tests for the bench tooling: scripts/validate_bench_json.py and
-scripts/compare_bench_json.py. Invoked through CTest (stdlib unittest, no
-third-party dependencies) so the tooling that guards the CI bench lane is
-itself regression-guarded.
+"""Unit tests for the bench tooling: scripts/validate_bench_json.py,
+scripts/compare_bench_json.py and scripts/record_bench.py. Invoked through
+CTest (stdlib unittest, no third-party dependencies) so the tooling that
+guards the CI bench lane and records the perf trajectory is itself
+regression-guarded.
 """
 import importlib.util
 import json
@@ -23,6 +24,7 @@ def load(name):
 
 validate = load("validate_bench_json")
 compare = load("compare_bench_json")
+record = load("record_bench")
 
 
 def table(name, headers, rows):
@@ -254,6 +256,95 @@ class CompareBenchJsonTest(TempDirTest):
         self.write("base", "demo", messy)
         self.write("cur", "demo", GOOD)
         self.assertEqual(self.run_main(), 0)
+
+
+STAT = """cpu  100 5 50 800 10 2 3 30 7 1
+cpu0 50 2 25 400 5 1 1 15 3 0
+intr 12345
+"""
+
+FAKE_RUN = """import json, sys
+print("perfbench: context and ledger")
+if "--seed" in sys.argv and sys.argv[sys.argv.index("--seed") + 1] == "0":
+    sys.exit(2)
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"setup_s": {"value": 0.5, "unit": "s"}}}))
+"""
+
+
+class RecordBenchTest(TempDirTest):
+    def test_parses_aggregate_cpu_line(self):
+        # user..steal sum to 1000; guest (7) and guest_nice (1) are already
+        # inside user and nice and stay out of the total.
+        self.assertEqual(record.parse_cpu_times(STAT), (30, 1000))
+
+    def test_rejects_stat_without_cpu_line(self):
+        with self.assertRaises(ValueError):
+            record.parse_cpu_times("cpu0 1 2 3 4 5 6 7 8\n")
+        with self.assertRaises(ValueError):
+            record.parse_cpu_times("cpu 1 2 3\n")
+
+    def test_unreadable_stat_reads_none(self):
+        self.assertIsNone(record.read_cpu_times(self.dir / "missing"))
+        path = self.dir / "stat"
+        path.write_text(STAT)
+        self.assertEqual(record.read_cpu_times(path), (30, 1000))
+
+    def test_steal_share_is_stolen_over_elapsed_time(self):
+        self.assertAlmostEqual(record.steal_share((30, 1000), (35, 1400)),
+                               5 / 400)
+        self.assertIsNone(record.steal_share(None, (35, 1400)))
+        self.assertIsNone(record.steal_share((30, 1000), (30, 1000)))
+
+    def test_last_json_object_takes_the_final_line(self):
+        out = 'ledger {"not": "last"}\n{"correct": true}\n\n'
+        self.assertEqual(record.last_json_object(out), {"correct": True})
+        self.assertIsNone(record.last_json_object(""))
+        self.assertIsNone(record.last_json_object("build failed\n"))
+        self.assertIsNone(record.last_json_object("[1, 2]\n"))
+
+    def test_append_creates_then_extends_one_record_per_line(self):
+        path = self.dir / "BENCH_serve-small.json"
+        record.append_record(path, {"label": "parent", "seed": 1})
+        record.append_record(path, {"label": "change", "seed": 1})
+        self.assertEqual(json.loads(path.read_text()),
+                         [{"label": "parent", "seed": 1},
+                          {"label": "change", "seed": 1}])
+        self.assertEqual(len(path.read_text().splitlines()), 4)
+        self.assertFalse(path.with_name(path.name + ".tmp").exists())
+
+    def test_append_refuses_a_file_that_is_not_an_array(self):
+        path = self.dir / "BENCH_x.json"
+        path.write_text('{"name": "a bench table file"}')
+        with self.assertRaises(ValueError):
+            record.append_record(path, {})
+
+    def run_main(self, seed):
+        # The temporary directory stands in for the repository root, so
+        # the record lands there and the default checkout is the fake.
+        (self.dir / "perfbench").mkdir(exist_ok=True)
+        (self.dir / "perfbench" / "run.py").write_text(FAKE_RUN)
+        repo = record.REPO
+        record.REPO = self.dir
+        self.addCleanup(setattr, record, "REPO", repo)
+        return record.main(["--workload", "serve-small", "--seed", str(seed),
+                            "--seconds", "2", "--trace", "0",
+                            "--label", "change"])
+
+    def test_main_appends_the_result_line_with_its_context(self):
+        self.assertEqual(self.run_main(5), 0)
+        (rec,) = json.loads((self.dir / "BENCH_serve-small.json").read_text())
+        self.assertEqual(rec["label"], "change")
+        self.assertEqual(rec["args"], {"workload": "serve-small", "seed": 5,
+                                       "seconds": 2.0, "trace": 0})
+        self.assertEqual(rec["result"]["metrics"]["setup_s"]["value"], 0.5)
+        self.assertGreaterEqual(rec["nproc"], 1)
+        for key in ("commit", "dirty", "steal_share", "omp_wait_policy"):
+            self.assertIn(key, rec)
+
+    def test_main_appends_nothing_without_a_result_line(self):
+        self.assertNotEqual(self.run_main(0), 0)
+        self.assertFalse((self.dir / "BENCH_serve-small.json").exists())
 
 
 if __name__ == "__main__":

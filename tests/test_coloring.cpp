@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/analysis/priority_dag.hpp"
 #include "extensions/coloring.hpp"
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
@@ -109,6 +110,36 @@ TEST(ColoringPrefix, DeterministicAcrossWorkerCounts) {
     ScopedNumWorkers guard(workers);
     EXPECT_EQ(greedy_coloring_prefix(g, order, 128).color, base.color)
         << "workers=" << workers;
+  }
+}
+
+TEST(ColoringPrefix, RoundsDependOnlyOnTheInput) {
+  // Commit colors only vertices whose earlier neighbors were all colored
+  // before the round, so (rounds, work) are a function of the graph, the
+  // order and the window, never of the schedule; at window n a vertex is
+  // colored in the round of its longest-path depth.
+  const uint64_t n = 20'000;
+  const CsrGraph g = CsrGraph::from_edges(random_graph_nm(n, 100'000, 3));
+  const VertexOrder order = VertexOrder::random(n, 7);
+  const ColoringResult sequential = greedy_coloring_sequential(g, order);
+  for (const uint64_t window : std::vector<uint64_t>{1, 64, 2'000, n}) {
+    ColoringResult base;
+    {
+      ScopedNumWorkers guard(1);
+      base = greedy_coloring_prefix(g, order, window);
+    }
+    EXPECT_EQ(base.color, sequential.color) << "window=" << window;
+    for (int workers : {2, 4}) {
+      ScopedNumWorkers guard(workers);
+      const ColoringResult r = greedy_coloring_prefix(g, order, window);
+      EXPECT_EQ(r.profile.rounds, base.profile.rounds)
+          << "window=" << window << " workers=" << workers;
+      EXPECT_EQ(r.profile.work_items, base.profile.work_items)
+          << "window=" << window << " workers=" << workers;
+    }
+    if (window == n) {
+      EXPECT_EQ(base.profile.rounds, longest_priority_path(g, order));
+    }
   }
 }
 

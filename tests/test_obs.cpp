@@ -382,9 +382,6 @@ TEST(ObsTrace, RecordsCarryBatchAndTxnIds) {
 TEST(ObsLabels, LabeledNameCanonicalForm) {
   EXPECT_EQ(labeled_name("shard.seeds", "shard", "3"),
             "shard.seeds{shard=\"3\"}");
-  // Multi-label form sorts keys so equal label sets intern to one series.
-  EXPECT_EQ(labeled_name("x", {{"b", "2"}, {"a", "1"}}),
-            "x{a=\"1\",b=\"2\"}");
   // Label values are escaped so the canonical key (and the Prometheus
   // exposition derived from it) stays parseable.
   EXPECT_EQ(labeled_name("x", "k", "say \"hi\"\\"),

@@ -97,7 +97,7 @@ class OverlayGraph {
   unsigned set_edge_weight(unsigned u, unsigned v, double w);
   void compact();
   void set_journal(void* j) { journal_ = j; }
-  void undo_to(unsigned long mark, unsigned long epoch);
+  void undo(const UndoRecord& r);
   [[nodiscard]] unsigned num_vertices() const noexcept { return n_; }
 %(extra)s
  private:
@@ -262,7 +262,7 @@ class RealTreeTest(unittest.TestCase):
         # The parser must actually see the real mutators — an empty result
         # would make the classification check pass vacuously.
         for expected in ("insert_edge", "erase_edge", "set_slot_weight",
-                         "set_vertex_weight", "compact", "undo_to"):
+                         "set_vertex_weight", "compact", "undo"):
             self.assertIn(expected, names)
         known = set(lint.EXPECTED_JOURNAL_HOOKS) | lint.JOURNAL_EXEMPT_METHODS
         self.assertEqual(names - known, set())

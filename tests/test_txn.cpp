@@ -1,8 +1,8 @@
 // Unit tests for the transactional layer (src/txn/): snapshot/rollback
 // bit-exactness, commit equivalence, nested savepoints, the retained
 // version window, the epoch staleness guard, a commit that throws while
-// publishing or while compacting after it, and the overlay undo journal
-// itself.
+// publishing or while compacting after it, and the overlay's undo
+// records replayed on their own.
 //
 // The heavy randomized coverage lives in test_txn_differential.cpp; this
 // suite pins down the API contract and the corner cases one at a time.
@@ -240,7 +240,7 @@ TEST(TxnMis, InvalidatedSavepointIsRejected) {
   txn.apply(mixed_batch(dm.graph(), 10, 420));
   const EngineSnapshot sp2 = txn.savepoint();
   txn.rollback_to(sp1);
-  // sp2's watermarks now fall inside journal space that later applies
+  // sp2's watermark now falls inside journal space that later applies
   // will reuse — restoring it would be silent corruption, so it throws.
   txn.apply(mixed_batch(dm.graph(), 30, 421));
   EXPECT_THROW(txn.rollback_to(sp2), CheckFailure);
@@ -255,9 +255,8 @@ TEST(TxnMis, InvalidatedSavepointIsRejected) {
 
 TEST(TxnMis, OverlayOnlySavepointInvalidationIsRejected) {
   // Edge reweights under random_hash never touch vertex priorities or
-  // decisions: they append *overlay* records only, so all savepoints here
-  // share the engine-journal watermark and the invalidation guard must
-  // discriminate on the overlay watermark.
+  // decisions: they append *overlay* records only, and the invalidation
+  // guard must still see them move the journal watermark.
   const CsrGraph g = weighted_graph(100, 300, 19);
   DynamicMis dm(EngineOptions::seeded(g, 23u));
   MisTransaction txn(dm);
@@ -272,7 +271,7 @@ TEST(TxnMis, OverlayOnlySavepointInvalidationIsRejected) {
   UpdateBatch b2;
   b2.reweight_edge(g.edge(1).u, g.edge(1).v, 43.0)
       .reweight_edge(g.edge(2).u, g.edge(2).v, 44.0);
-  txn.apply(b2);  // overlay journal regrows past sp2's watermark
+  txn.apply(b2);  // the journal regrows past sp2's watermark
   EXPECT_THROW(txn.rollback_to(sp2), CheckFailure);
   txn.abort();
   EXPECT_EQ(capture(dm).edge_weights,
@@ -469,9 +468,9 @@ struct FailingCommitMisTraits : MisTxnTraits {
   static inline bool fail = false;
 
   static std::vector<EntryChange<Value>> changed_entries(
-      const Engine& engine, const EngineJournal& journal, std::size_t since) {
+      const Engine& engine, const UndoJournal& journal) {
     if (fail) throw std::bad_alloc();
-    return MisTxnTraits::changed_entries(engine, journal, since);
+    return MisTxnTraits::changed_entries(engine, journal);
   }
 };
 
@@ -566,8 +565,8 @@ struct RecordingMisTraits : MisTxnTraits {
   static inline std::vector<EntryChange<Value>> last;
 
   static std::vector<EntryChange<Value>> changed_entries(
-      const Engine& engine, const EngineJournal& journal, std::size_t since) {
-    last = MisTxnTraits::changed_entries(engine, journal, since);
+      const Engine& engine, const UndoJournal& journal) {
+    last = MisTxnTraits::changed_entries(engine, journal);
     return last;
   }
 };
@@ -713,8 +712,6 @@ TEST(TxnMatching, OracleExactnessAfterCommitAndAbort) {
   }
 }
 
-// --- the overlay journal on its own ---------------------------------
-
 // --- the txn_* seams themselves, on both engines ---------------------
 
 /// Transaction only ever calls the seams in order; these cases call them
@@ -731,7 +728,7 @@ TYPED_TEST_SUITE(TxnSeams, SeamEngines);
 TYPED_TEST(TxnSeams, MisuseThrows) {
   TypeParam& dm = this->engine;
   support::RoleScope writer(dm.writer_role_);
-  TxnJournal journal;
+  UndoJournal journal;
   EXPECT_THROW(dm.txn_detach(), CheckFailure);
   EXPECT_THROW((void)dm.txn_mark(), CheckFailure);
   EXPECT_THROW(dm.txn_rollback(TxnMark{}), CheckFailure);
@@ -741,7 +738,7 @@ TYPED_TEST(TxnSeams, MisuseThrows) {
   EXPECT_THROW(dm.txn_attach(&journal), CheckFailure);
   dm.apply_batch(mixed_batch(dm.graph(), 10, 1600));
   TxnMark past = dm.txn_mark();
-  ++past.engine_records;
+  ++past.records;
   EXPECT_THROW(dm.txn_rollback(past), CheckFailure);
   dm.txn_detach();
   EXPECT_THROW(dm.txn_detach(), CheckFailure);
@@ -755,7 +752,7 @@ TYPED_TEST(TxnSeams, RollbackRestoresSolutionEpochAndLifetimeStats) {
   const uint64_t epoch = dm.epoch();
   const BatchStats lifetime = dm.lifetime_stats();
 
-  TxnJournal journal;
+  UndoJournal journal;
   dm.txn_attach(&journal);
   const TxnMark mark = dm.txn_mark();
   for (uint64_t i = 0; i < 3; ++i)
@@ -768,19 +765,60 @@ TYPED_TEST(TxnSeams, RollbackRestoresSolutionEpochAndLifetimeStats) {
   EXPECT_EQ(dm.solution(), solution);
   EXPECT_EQ(dm.epoch(), epoch);
   EXPECT_EQ(dm.lifetime_stats(), lifetime);
-  EXPECT_EQ(journal.engine.size(), mark.engine_records);
+  EXPECT_EQ(journal.size(), mark.records);
 }
 
-TEST(OverlayJournal, UndoRestoresStructureWeightsAndEpoch) {
+TEST(TxnSeamsMatching, OverlayAndEngineRecordsShareOneStreamInOrder) {
+  // An insert of a new edge appends its overlay slot, then the engine
+  // grows its slot arrays and keys the slot: one stream, mutation order,
+  // so the rollback undoes the key and the growth before popping the slot.
+  DynamicMatching dm(EngineOptions::with_source(
+      weighted_graph(100, 300, 44), PrioritySource::weight_hash_tiebreak(45)));
+  support::RoleScope writer(dm.writer_role_);
+  VertexId u = 0, v = 1;
+  while (dm.graph().has_edge(u, v)) ++v;
+  const EdgeSlot bound_before = dm.graph().slot_bound();
+  const auto solution = dm.solution();
+
+  UndoJournal journal;
+  dm.txn_attach(&journal);
+  const TxnMark mark = dm.txn_mark();
+  UpdateBatch batch;
+  batch.insert_edge(u, v, 2.0);
+  dm.apply_batch(batch);
+  ASSERT_GE(journal.size(), 3u);
+  EXPECT_EQ(journal[0].kind, UndoRecord::Kind::kAppendExtra);
+  EXPECT_EQ(journal[1].kind, UndoRecord::Kind::kGrowth);
+  EXPECT_EQ(journal[1].index, bound_before);
+  EXPECT_EQ(journal[2].kind, UndoRecord::Kind::kKey);
+  EXPECT_EQ(journal[2].index, bound_before);
+
+  dm.txn_rollback(mark);
+  dm.txn_detach();
+  EXPECT_EQ(journal.size(), 0u);
+  EXPECT_EQ(dm.graph().slot_bound(), bound_before);
+  EXPECT_FALSE(dm.graph().has_edge(u, v));
+  EXPECT_EQ(dm.solution(), solution);
+}
+
+// --- the overlay's undo records on their own --------------------------
+
+/// Replays `journal` newest-first into `overlay` and empties it — the
+/// overlay half of GreedyEngine::txn_rollback's loop.
+void undo_all(OverlayGraph& overlay, UndoJournal& journal) {
+  for (std::size_t i = journal.size(); i-- > 0;) overlay.undo(journal[i]);
+  journal.truncate(0);
+}
+
+TEST(OverlayJournal, UndoRestoresStructureAndWeights) {
   CsrGraph g = CsrGraph::from_edges(random_graph_nm(60, 150, 40));
   g.set_edge_weights(quantized_weights(g.num_edges(), 41, 8));
   OverlayGraph overlay{g};
   overlay.insert_edge(0, 1);  // pre-journal mutation (maybe a no-op)
   const CsrGraph before = overlay.to_csr();
-  const uint64_t epoch_before = overlay.epoch();
   const uint64_t live_before = overlay.num_live_edges();
 
-  OverlayJournal journal;
+  UndoJournal journal;
   overlay.set_journal(&journal);
   const Edge victim = before.edge(3);
   overlay.erase_edge(victim.u, victim.v);
@@ -789,12 +827,10 @@ TEST(OverlayJournal, UndoRestoresStructureWeightsAndEpoch) {
   overlay.set_edge_weight(before.edge(0).u, before.edge(0).v, 7.0);
   overlay.set_vertex_weight(9, 2.5);  // upgrades to vertex-weighted
   EXPECT_TRUE(overlay.has_vertex_weights());
-  EXPECT_GT(overlay.epoch(), epoch_before);
   EXPECT_THROW(overlay.compact(), CheckFailure);
 
-  overlay.undo_to(0, epoch_before);
+  undo_all(overlay, journal);
   overlay.set_journal(nullptr);
-  EXPECT_EQ(overlay.epoch(), epoch_before);
   EXPECT_EQ(overlay.num_live_edges(), live_before);
   EXPECT_FALSE(overlay.has_vertex_weights());
   const CsrGraph after = overlay.to_csr();
@@ -809,11 +845,11 @@ TEST(OverlayJournal, UndoRestoresStructureWeightsAndEpoch) {
 TEST(OverlayJournal, UnweightedUpgradeIsUndone) {
   OverlayGraph overlay{CsrGraph::from_edges(random_graph_nm(30, 60, 42))};
   EXPECT_FALSE(overlay.has_edge_weights());
-  OverlayJournal journal;
+  UndoJournal journal;
   overlay.set_journal(&journal);
   overlay.insert_edge(1, 2, 4.0);  // weighted insert upgrades the overlay
   EXPECT_TRUE(overlay.has_edge_weights());
-  overlay.undo_to(0, 0);
+  undo_all(overlay, journal);
   EXPECT_FALSE(overlay.has_edge_weights());
   EXPECT_FALSE(overlay.has_edge(1, 2));
   overlay.set_journal(nullptr);
